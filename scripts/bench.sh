@@ -16,11 +16,10 @@
 # put/get/scan, checkpoint cost, and checkpointed cold-open vs
 # full-WAL-replay restart), bench_analysis (the static rule-program
 # analyzer: full analysis runs at 256-4096 generated rules and the
-# prepare overhead it adds to a Statement, on vs off), and
-# bench_parallel (the parallel derivation path: the recursive fixpoint,
-# graph-closure recomputation, and DRed maintenance each swept over
-# 1/2/4/8 evaluation lanes; threads=1 is the serial baseline). JSON
-# results land next to this repo's root so successive PRs can diff them.
+# prepare overhead it adds to a Statement, on vs off). JSON results land
+# next to this repo's root so successive PRs can diff them; each file's
+# "context" records the host core count (nproc) and the compiler, since
+# numbers from different hosts or toolchains are not comparable.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,29 +29,40 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
       --target bench_tp_operator bench_fig2_enterprise bench_views \
                bench_api bench_snapshots bench_index bench_obs bench_store \
-               bench_analysis bench_parallel
+               bench_analysis
+
+compiler_file=$(ls "$BUILD_DIR"/CMakeFiles/*/CMakeCXXCompiler.cmake | head -n 1)
+compiler=$(sed -n 's/^set(CMAKE_CXX_COMPILER_\(ID\|VERSION\) "\(.*\)")$/\2/p' \
+           "$compiler_file" | paste -sd-)
+context="--benchmark_context=nproc=$(nproc),compiler=$compiler"
 
 "$BUILD_DIR"/bench_tp_operator \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_tp.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_fig2_enterprise \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_fig2.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_views \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_views.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_api \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_api.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_snapshots \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_snapshots.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_index \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_index.json \
     --benchmark_out_format=json
@@ -63,23 +73,22 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --benchmark_enable_random_interleaving=true \
     --benchmark_repetitions=6 \
     --benchmark_report_aggregates_only=true \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_obs.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_store \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_store.json \
     --benchmark_out_format=json
 "$BUILD_DIR"/bench_analysis \
+    "$context" \
     --benchmark_format=json \
     --benchmark_out=BENCH_analysis.json \
-    --benchmark_out_format=json
-"$BUILD_DIR"/bench_parallel \
-    --benchmark_format=json \
-    --benchmark_out=BENCH_parallel.json \
     --benchmark_out_format=json
 
 echo "Wrote BENCH_tp.json, BENCH_fig2.json, BENCH_views.json," \
      "BENCH_api.json, BENCH_snapshots.json, BENCH_index.json," \
-     "BENCH_obs.json, BENCH_store.json, BENCH_analysis.json, and" \
-     "BENCH_parallel.json"
+     "BENCH_obs.json, BENCH_store.json, and BENCH_analysis.json" \
+     "($context)"

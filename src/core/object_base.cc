@@ -9,8 +9,8 @@ namespace verso {
 bool SharedApps::result_index_enabled_ = true;
 
 void IndexedApps::BuildIndex() const {
-  // Nodes are immutable while shared across evaluation lanes, but the
-  // lazy build itself is a const-path mutation: serialize concurrent
+  // Nodes are immutable while shared, but the lazy build itself is a
+  // const-path mutation: serialize concurrent
   // first probes of the same node. One process-wide mutex (not one per
   // node) — builds are rare, nodes are many.
   static std::mutex build_mu;

@@ -43,10 +43,9 @@ struct IndexStats {
 /// rebuilt on demand after any mutation, built through a const handle
 /// (a lazy build must never count as a write, or it would detach COW
 /// sharing), and ignored by equality. Between commits a node is
-/// immutable, so a built index could safely be shared across threads —
-/// the groundwork for parallel stratum evaluation; today the refcount
-/// discipline (like everything below the Connection facade) is
-/// single-threaded, and lazy builds rely on that.
+/// immutable. The refcount discipline (like everything below the
+/// Connection facade) is single-threaded; only the lazy build is guarded
+/// (see result_index()).
 class IndexedApps {
  public:
   /// Flat (result, offset) pairs sorted lexicographically: a lookup is
@@ -73,10 +72,10 @@ class IndexedApps {
     return apps_;
   }
 
-  /// The result index, built on first use. Safe to race from read-only
-  /// evaluation lanes: the build publishes under a mutex with an
-  /// acquire/release flag, so concurrent first probes of a shared node
-  /// see either "not built" (and take the build lock) or the fully built
+  /// The result index, built on first use. The build is the one
+  /// const-path mutation, so it publishes under a mutex with an
+  /// acquire/release flag: concurrent first probes of a shared node see
+  /// either "not built" (and take the build lock) or the fully built
   /// index. Mutation paths (InvalidateIndex) remain single-threaded by
   /// the COW detach discipline.
   const ResultIndex& result_index() const {
@@ -409,11 +408,6 @@ class ObjectBase {
 
   MethodId exists_method() const { return exists_method_; }
   const VersionTable* version_table() const { return versions_; }
-  /// Rebinds the referenced version table. Parallel evaluation lanes copy
-  /// the frozen base and point the copy at their own overlay VersionTable,
-  /// so v*/exists walks resolve overlay-fresh VIDs instead of indexing the
-  /// real table out of range.
-  void set_version_table(const VersionTable* versions) { versions_ = versions; }
 
   friend bool operator==(const ObjectBase& a, const ObjectBase& b) {
     if (a.states_.size() != b.states_.size()) return false;

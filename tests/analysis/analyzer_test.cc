@@ -83,7 +83,7 @@ TEST(AnalyzerTest, AncestorsProgramOverlapsButDoesNotConflict) {
   EXPECT_EQ(report.warnings(), 0u) << report.ToText();
   EXPECT_TRUE(report.stratifiable);
   // r1 and r2 both ins[X].anc: confluent overlap — no diagnostic, but
-  // the stratum is not provably parallelizable.
+  // the stratum is not independent.
   ASSERT_EQ(report.stratum_of_rule.size(), 2u);
   EXPECT_EQ(report.stratum_of_rule[0], report.stratum_of_rule[1]);
   const AnalysisReport::StratumReport& stratum =
