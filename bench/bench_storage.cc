@@ -1,6 +1,6 @@
-// Experiment E12: persistence substrate throughput — codec encode/decode,
-// snapshot write/read, WAL append, delta compute/apply, and full
-// database transactions with recovery.
+// Experiment E12: persistence substrate throughput — checkpoint codec
+// encode/decode, WAL append, delta compute/apply, and full database
+// transactions with recovery.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 #include "bench_common.h"
 #include "storage/codec.h"
 #include "storage/database.h"
-#include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/fault_env.h"
 #include "util/io.h"
@@ -29,63 +28,57 @@ std::unique_ptr<World> BaseWorld(size_t employees) {
   return MakeEnterpriseWorld(employees, kEnterpriseProgramText);
 }
 
-void BM_EncodeObjectBase(benchmark::State& state) {
+/// The checkpoint codec: the base as one EncodeVersionRecord image per
+/// version, as a store checkpoint writes it.
+std::vector<std::string> EncodeRecords(const World& world) {
+  std::vector<std::string> records;
+  for (const auto& [vid, vstate] : world.base.versions()) {
+    records.push_back(EncodeVersionRecord(vid, *vstate,
+                                          world.engine->symbols(),
+                                          world.engine->versions()));
+  }
+  return records;
+}
+
+size_t TotalBytes(const std::vector<std::string>& records) {
+  size_t bytes = 0;
+  for (const std::string& record : records) bytes += record.size();
+  return bytes;
+}
+
+void BM_EncodeVersionRecords(benchmark::State& state) {
   std::unique_ptr<World> world = BaseWorld(static_cast<size_t>(state.range(0)));
   size_t bytes = 0;
   for (auto _ : state) {
-    std::string payload = EncodeObjectBase(
-        world->base, world->engine->symbols(), world->engine->versions());
-    bytes = payload.size();
-    benchmark::DoNotOptimize(payload);
+    std::vector<std::string> records = EncodeRecords(*world);
+    bytes = TotalBytes(records);
+    benchmark::DoNotOptimize(records);
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
   state.counters["facts"] = static_cast<double>(world->base.fact_count());
 }
-BENCHMARK(BM_EncodeObjectBase)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_EncodeVersionRecords)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_DecodeObjectBase(benchmark::State& state) {
+void BM_DecodeVersionRecords(benchmark::State& state) {
   std::unique_ptr<World> world = BaseWorld(static_cast<size_t>(state.range(0)));
-  std::string payload = EncodeObjectBase(
-      world->base, world->engine->symbols(), world->engine->versions());
+  std::vector<std::string> records = EncodeRecords(*world);
   for (auto _ : state) {
     Engine engine;
     ObjectBase decoded = engine.MakeBase();
-    Status s = DecodeObjectBaseInto(payload, engine.symbols(),
-                                    engine.versions(), decoded);
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      return;
+    for (const std::string& record : records) {
+      Status s = DecodeVersionRecordInto(record, engine.symbols(),
+                                         engine.versions(), decoded);
+      if (!s.ok()) {
+        state.SkipWithError(s.ToString().c_str());
+        return;
+      }
     }
     benchmark::DoNotOptimize(decoded);
   }
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(payload.size()));
+                          static_cast<int64_t>(TotalBytes(records)));
 }
-BENCHMARK(BM_DecodeObjectBase)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_SnapshotWriteRead(benchmark::State& state) {
-  std::unique_ptr<World> world = BaseWorld(static_cast<size_t>(state.range(0)));
-  std::string dir = BenchDir();
-  std::string path = dir + "/bench.vsnp";
-  for (auto _ : state) {
-    Status w = WriteSnapshot(path, world->base, world->engine->symbols(),
-                             world->engine->versions());
-    if (!w.ok()) {
-      state.SkipWithError(w.ToString().c_str());
-      return;
-    }
-    Engine engine;
-    ObjectBase loaded = engine.MakeBase();
-    Status r = ReadSnapshotInto(path, engine.symbols(), engine.versions(),
-                                loaded);
-    if (!r.ok()) {
-      state.SkipWithError(r.ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(loaded);
-  }
-}
-BENCHMARK(BM_SnapshotWriteRead)->Arg(256)->Arg(1024);
+BENCHMARK(BM_DecodeVersionRecords)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_DeltaComputeApply(benchmark::State& state) {
   std::unique_ptr<World> world = BaseWorld(static_cast<size_t>(state.range(0)));

@@ -79,13 +79,6 @@ bool UnifyPattern(const Rule& rule, const VidTerm& vterm,
 
 }  // namespace
 
-bool SeedBindingsFromDelta(const Rule& rule, uint32_t literal_index,
-                           const DeltaFact& fact, VersionTable& versions,
-                           Bindings& bindings) {
-  if (rule.body[literal_index].negated) return false;
-  return UnifyLiteralPattern(rule, literal_index, fact, versions, bindings);
-}
-
 bool UnifyLiteralPattern(const Rule& rule, uint32_t literal_index,
                          const DeltaFact& fact, VersionTable& versions,
                          Bindings& bindings) {
@@ -122,9 +115,11 @@ bool SeedBindingsFromHead(const Rule& rule, const DeltaFact& fact,
 
 void DeltaIndex::Build(const DeltaLog& delta, const VersionTable& versions) {
   added_.clear();
+  added_count_ = 0;
   for (const DeltaFact& fact : delta) {
     if (!fact.added) continue;
     added_[Key(fact.method, versions.shape(fact.vid))].push_back(&fact);
+    ++added_count_;
   }
 }
 

@@ -30,17 +30,6 @@ struct DeltaFact {
 /// The fact-level changes of one fixpoint round, in application order.
 using DeltaLog = std::vector<DeltaFact>;
 
-/// Tries to bind the rule body literal at `literal_index` — a positive
-/// version-term or a positive body ins-update-term, both of which are
-/// plain membership tests — against an added delta fact, producing the
-/// seed `bindings` for ForEachBodyMatchFrom. Returns false when the
-/// literal is not seedable or the fact's method, VID shape, or constants
-/// do not match the literal's pattern. On success every variable the
-/// literal would bind is bound in `bindings` (all other slots invalid).
-bool SeedBindingsFromDelta(const Rule& rule, uint32_t literal_index,
-                           const DeltaFact& fact, VersionTable& versions,
-                           Bindings& bindings);
-
 /// Computes the (method, shape) a delta fact must carry to unify with the
 /// membership pattern of body literal `literal_index` — a version-term or
 /// an ins-update-term. The literal's negation flag is ignored: positive
@@ -53,10 +42,15 @@ bool SeedKeyForLiteral(const Rule& rule, uint32_t literal_index,
                        VersionTable& versions, MethodId* method,
                        VidShape* shape);
 
-/// Pattern half of SeedBindingsFromDelta with the negation check lifted:
-/// unifies `fact` with the membership pattern of the literal regardless of
-/// its negation flag. Used by the views subsystem to seed maintenance
-/// through negated body literals.
+/// Unifies an added delta fact with the membership pattern of body literal
+/// `literal_index` — a version-term or an ins-update-term — producing the
+/// seed `bindings` for a body match that skips that literal. The
+/// literal's negation flag is ignored: the fixpoint kernel seeds only
+/// positive literals (Rule::seed_literals), while the views subsystem also
+/// seeds maintenance through negated ones. Returns false when the literal
+/// has no membership pattern or the fact's method, VID shape, or constants
+/// do not match it. On success every variable the literal would bind is
+/// bound in `bindings` (all other slots invalid).
 bool UnifyLiteralPattern(const Rule& rule, uint32_t literal_index,
                          const DeltaFact& fact, VersionTable& versions,
                          Bindings& bindings);
@@ -70,10 +64,10 @@ bool UnifyLiteralPattern(const Rule& rule, uint32_t literal_index,
 bool SeedBindingsFromHead(const Rule& rule, const DeltaFact& fact,
                           VersionTable& versions, Bindings& bindings);
 
-/// Index of one round's delta by (method, VID shape): DeriveSeeded and the
-/// query fixpoint probe only the added facts that can possibly unify with
-/// a given seed literal, skipping the quadratic (seed literal, delta fact)
-/// sweep entirely for non-matching pairs. Holds pointers into the indexed
+/// Index of one round's delta by (method, VID shape): the fixpoint kernel
+/// probes only the added facts that can possibly unify with a given seed
+/// literal, skipping the quadratic (seed literal, delta fact) sweep
+/// entirely for non-matching pairs. Holds pointers into the indexed
 /// DeltaLog, which must outlive the index.
 class DeltaIndex {
  public:
@@ -87,7 +81,8 @@ class DeltaIndex {
     return it == added_.end() ? nullptr : &it->second;
   }
 
-  bool empty() const { return added_.empty(); }
+  /// Number of added facts indexed.
+  size_t added_count() const { return added_count_; }
 
  private:
   static uint64_t Key(MethodId method, VidShape shape) {
@@ -95,6 +90,7 @@ class DeltaIndex {
   }
 
   std::unordered_map<uint64_t, std::vector<const DeltaFact*>> added_;
+  size_t added_count_ = 0;
 };
 
 }  // namespace verso

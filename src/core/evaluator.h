@@ -95,12 +95,13 @@ struct EvalStats {
 
 /// Bottom-up evaluation of an update-program (Section 4): iterate T_P
 /// stratum by stratum until each stratum reaches its fixpoint, evolving
-/// `base` into result(P). Round 0 of a stratum matches every rule in
-/// full; installing a round's fresh updates produces a fact-level delta,
-/// and subsequent rounds (in semi-naive mode) derive only from that
-/// delta — seeding fully seedable rules through ForEachBodyMatchFrom and
-/// re-matching residual rules only when the delta touches a method they
-/// depend on.
+/// `base` into result(P). Each stratum runs through the fixpoint kernel
+/// (RunFixpoint, core/fixpoint.h) with the T¹-merge head sink: round 0
+/// matches every rule in full; installing a round's fresh updates
+/// produces a fact-level delta, and subsequent rounds (in semi-naive mode)
+/// derive only from that delta — seeding fully seedable rules from it and
+/// re-matching residual rules only when it touches a method they depend
+/// on.
 class Evaluator {
  public:
   Evaluator(SymbolTable& symbols, VersionTable& versions,
@@ -116,6 +117,9 @@ class Evaluator {
                         ObjectBase& base);
 
  private:
+  /// The T¹-merge head sink of one stratum's RunFixpoint.
+  struct StratumSink;
+
   SymbolTable& symbols_;
   VersionTable& versions_;
   EvalOptions options_;

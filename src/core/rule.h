@@ -26,13 +26,14 @@ struct Rule {
 
   // ---- Semi-naive evaluation plan (also filled in by AnalyzeRule) ----
   //
-  // Within one stratum the evaluator re-derives rule matches round by
-  // round; the plan below tells it which rules can be driven from the
-  // per-round fact delta instead of a full body re-match.
+  // Within one stratum the fixpoint kernel (core/fixpoint.h) re-derives
+  // rule matches round by round; the plan below tells it which rules can
+  // be driven from the per-round fact delta instead of a full body
+  // re-match. AnalyzeQueryProgram narrows it for derived-method rules.
 
   /// Body literal indices that are plain membership tests (positive
   /// version-terms and positive ins-update-terms): an added delta fact
-  /// matching one of them can seed ForEachBodyMatchFrom.
+  /// matching one of them seeds a body match around it.
   std::vector<uint32_t> seed_literals;
 
   /// True iff delta-seeding through `seed_literals` finds every match the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/fixpoint.h"
+
 namespace verso {
 
 namespace {
@@ -144,87 +146,6 @@ Status TpOperator::DeriveFromBindings(const Rule& rule,
   return Status::Ok();
 }
 
-Status TpOperator::DeriveFull(const Program& program,
-                              const std::vector<uint32_t>& rule_indices,
-                              const ObjectBase& base, TpStratumState& state,
-                              TpRoundStats& stats, TraceSink* trace) {
-  MatchContext ctx{symbols_, versions_, base, &stats.index};
-  for (uint32_t rule_index : rule_indices) {
-    const Rule& rule = program.rules[rule_index];
-    Status status = ForEachBodyMatch(
-        rule, ctx, [&](const Bindings& bindings) -> Status {
-          return DeriveFromBindings(rule, bindings, base, state, stats, trace);
-        });
-    VERSO_RETURN_IF_ERROR(status);
-  }
-  return Status::Ok();
-}
-
-Status TpOperator::DeriveSeeded(const Program& program,
-                                const std::vector<uint32_t>& rule_indices,
-                                const ObjectBase& base, const DeltaLog& delta,
-                                TpStratumState& state, TpRoundStats& stats,
-                                TraceSink* trace) {
-  MatchContext ctx{symbols_, versions_, base, &stats.index};
-  std::unordered_set<uint32_t> touched_methods;
-  size_t added_total = 0;
-  for (const DeltaFact& fact : delta) {
-    touched_methods.insert(fact.method.value);
-    if (fact.added) ++added_total;
-  }
-  // Frontier index: probing per (seed literal, delta fact) pair is
-  // quadratic in wide deltas; grouping the added facts by (method, shape)
-  // jumps straight to the facts a literal can possibly unify with.
-  DeltaIndex index;
-  index.Build(delta, versions_);
-
-  Bindings seed;
-  for (uint32_t rule_index : rule_indices) {
-    const Rule& rule = program.rules[rule_index];
-    auto sink = [&](const Bindings& bindings) -> Status {
-      return DeriveFromBindings(rule, bindings, base, state, stats, trace);
-    };
-    if (rule.fully_seedable) {
-      // Every way this rule can newly match goes through an added fact at
-      // one of its membership literals.
-      for (uint32_t li : rule.seed_literals) {
-        MethodId method;
-        VidShape shape;
-        if (!SeedKeyForLiteral(rule, li, versions_, &method, &shape)) {
-          continue;
-        }
-        const std::vector<const DeltaFact*>* bucket =
-            index.Added(method, shape);
-        if (bucket == nullptr) {
-          stats.seed_pairs_skipped += added_total;
-          continue;
-        }
-        stats.seed_pairs_skipped += added_total - bucket->size();
-        for (const DeltaFact* fact : *bucket) {
-          if (!SeedBindingsFromDelta(rule, li, *fact, versions_, seed)) {
-            continue;
-          }
-          ++stats.seed_probes;
-          VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
-              rule, ctx, seed, static_cast<int>(li), sink));
-        }
-      }
-      continue;
-    }
-    // Residual rule: full re-match, but only when the delta could affect
-    // it (a changed fact of a relevant method; delete-all heads react to
-    // everything).
-    bool relevant = rule.rerun_on_any_delta;
-    for (size_t i = 0; !relevant && i < rule.relevant_methods.size(); ++i) {
-      relevant = touched_methods.count(rule.relevant_methods[i].value) != 0;
-    }
-    if (!relevant) continue;
-    ++stats.residual_rules;
-    VERSO_RETURN_IF_ERROR(ForEachBodyMatch(rule, ctx, sink));
-  }
-  return Status::Ok();
-}
-
 Result<TpApplyResult> TpOperator::ApplyRound(TpStratumState& state,
                                              ObjectBase& base,
                                              DeltaLog& delta_out,
@@ -312,8 +233,13 @@ Result<TpResult> TpOperator::Apply(const Program& program,
   TpResult result;
   TpStratumState state;
   TpRoundStats rstats;
-  VERSO_RETURN_IF_ERROR(
-      DeriveFull(program, rule_indices, base, state, rstats, trace));
+  DeriveStats dstats;
+  MatchContext ctx{symbols_, versions_, base};
+  VERSO_RETURN_IF_ERROR(Derive(
+      program.rules, rule_indices, ctx, /*frontier=*/nullptr, dstats,
+      [&](const Rule& rule, const Bindings& bindings) {
+        return DeriveFromBindings(rule, bindings, base, state, rstats, trace);
+      }));
   result.t1_updates = state.t1.size();
 
   // ---- Steps 2 and 3 per relevant target.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/delta.h"
-#include "core/match.h"
 #include "core/object_base.h"
 #include "core/program.h"
 #include "core/trace.h"
@@ -32,21 +31,15 @@ struct TpResult {
 };
 
 /// Derivation/application counters for one fixpoint round; the evaluator
-/// folds them into its per-stratum statistics.
+/// folds them into its per-stratum statistics (the seeding counters come
+/// from the fixpoint kernel's DeriveStats).
 struct TpRoundStats {
   size_t body_matches = 0;    // satisfying body bindings enumerated
   size_t fresh_updates = 0;   // updates first derived this round
-  size_t seed_probes = 0;     // delta-seeded partial matches launched
-  size_t seed_pairs_skipped = 0;  // (literal, fact) pairs pruned by the
-                                  // frontier's (method, shape) index
-  size_t residual_rules = 0;  // rules re-matched in full in a delta round
   size_t states_changed = 0;  // targets whose state effectively changed
   size_t copied_facts = 0;    // facts SHARED into new targets (step-2
                               // states are COW; only written methods
                               // physically copy)
-  IndexStats index;           // bound-result probes answered by the
-                              // result index (full matching, seeded
-                              // probes, and residual re-matching alike)
 };
 
 /// Persistent per-stratum evaluation state for the delta-driven fixpoint
@@ -84,33 +77,23 @@ struct TpApplyResult {
 ///            additions — simultaneous updates must not shadow each other).
 ///
 /// The fixpoint entry points split the operator so iterated application is
-/// incremental: Derive* merge step 1 into a persistent TpStratumState and
-/// ApplyRound installs only the round's fresh updates as fact-level diffs
-/// (an active target's own state doubles as the step-2 self-copy, so it is
-/// edited in place instead of being copied and swapped every round).
+/// incremental: the fixpoint kernel (core/fixpoint.h) feeds step 1's body
+/// matches to DeriveFromBindings, which merges them into a persistent
+/// TpStratumState, and ApplyRound installs only the round's fresh updates
+/// as fact-level diffs (an active target's own state doubles as the step-2
+/// self-copy, so it is edited in place instead of being copied and swapped
+/// every round).
 class TpOperator {
  public:
   TpOperator(SymbolTable& symbols, VersionTable& versions)
       : symbols_(symbols), versions_(versions) {}
 
-  /// Round 0 (and every naive-mode round): derive T¹ contributions of all
-  /// `rule_indices` by full body matching, merging fresh updates into
-  /// `state`.
-  Status DeriveFull(const Program& program,
-                    const std::vector<uint32_t>& rule_indices,
-                    const ObjectBase& base, TpStratumState& state,
-                    TpRoundStats& stats, TraceSink* trace);
-
-  /// Semi-naive rounds: derive only contributions reachable from `delta`,
-  /// the previous round's fact-level changes. Fully seedable rules are
-  /// driven through ForEachBodyMatchFrom from added delta facts; residual
-  /// rules are re-matched in full, but only when the delta touches one of
-  /// their relevant methods.
-  Status DeriveSeeded(const Program& program,
-                      const std::vector<uint32_t>& rule_indices,
-                      const ObjectBase& base, const DeltaLog& delta,
-                      TpStratumState& state, TpRoundStats& stats,
-                      TraceSink* trace);
+  /// Step 1, the T¹-merge head sink: resolves the head of `rule` under a
+  /// satisfying body binding, checks head truth, and merges the ground
+  /// update(s) into `state`.
+  Status DeriveFromBindings(const Rule& rule, const Bindings& bindings,
+                            const ObjectBase& base, TpStratumState& state,
+                            TpRoundStats& stats, TraceSink* trace);
 
   /// Steps 2 and 3 for the round's fresh updates, installed as diffs into
   /// `base`: active targets are edited in place (fact-level changes
@@ -130,12 +113,6 @@ class TpOperator {
                          const ObjectBase& base, TraceSink* trace);
 
  private:
-  /// Step-1 sink shared by both derivation modes: resolves the head,
-  /// checks head truth, and merges the ground update(s) into `state`.
-  Status DeriveFromBindings(const Rule& rule, const Bindings& bindings,
-                            const ObjectBase& base, TpStratumState& state,
-                            TpRoundStats& stats, TraceSink* trace);
-
   SymbolTable& symbols_;
   VersionTable& versions_;
 };

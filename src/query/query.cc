@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "core/delta.h"
-#include "core/match.h"
 #include "parser/parser.h"
 
 namespace verso {
@@ -219,21 +216,25 @@ Result<QueryStratification> AnalyzeQueryProgram(QueryProgram& program,
     stratum.recursive = stratum.methods.size() > 1;
   }
   for (uint32_t r = 0; r < program.rules.size(); ++r) {
-    const Rule& rule = program.rules[r];
+    Rule& rule = program.rules[r];
     uint32_t component =
         out.stratum_of_method.at(rule.head.app.method.value);
     QueryStratum& stratum = out.strata[component];
     stratum.rules.push_back(r);
-    // Self-loop: a singleton component is still recursive when one of its
-    // rules reads the method it defines.
-    for (const Literal& lit : rule.body) {
+    // Seeding plan: positive body occurrences of this stratum's methods.
+    // A hit also makes a singleton component recursive (self-loop).
+    rule.seed_literals.clear();
+    for (uint32_t li = 0; li < rule.body.size(); ++li) {
+      const Literal& lit = rule.body[li];
       if (lit.kind != Literal::Kind::kVersion) continue;
       MethodId m = lit.version.app.method;
       if (std::binary_search(stratum.methods.begin(), stratum.methods.end(),
                              m)) {
         stratum.recursive = true;
+        if (!lit.negated) rule.seed_literals.push_back(li);
       }
     }
+    rule.fully_seedable = true;
   }
   return out;
 }
@@ -248,109 +249,19 @@ Result<DeltaFact> ResolveHeadFact(const Rule& rule, const Bindings& bindings,
                    ResolveApp(rule.head.app, bindings), /*added=*/true};
 }
 
-Status SolveRecursiveStratum(const QueryProgram& program,
-                             const QueryStratum& stratum,
-                             SymbolTable& symbols, VersionTable& versions,
-                             ObjectBase& working, uint32_t max_rounds,
-                             QueryStats* stats) {
-  IndexStats istats;
-  MatchContext ctx{symbols, versions, working, &istats};
-  DeltaLog frontier;
-  DeltaLog delta;
-  // Rounds are frozen: head facts are buffered during derivation — the
-  // matcher holds pointers into the base's fact vectors — and installed
-  // only at the round boundary. The fixpoint is monotone, so batching
-  // installs changes round packaging but not the result.
-  std::vector<DeltaFact> pending;
-  auto derive_head = [&](const Rule& rule,
-                         const Bindings& bindings) -> Status {
-    VERSO_ASSIGN_OR_RETURN(DeltaFact head,
-                           ResolveHeadFact(rule, bindings, versions));
-    pending.push_back(std::move(head));
-    return Status::Ok();
-  };
-  auto install_pending = [&]() {
-    for (DeltaFact& fact : pending) {
-      if (working.Insert(fact.vid, fact.method, fact.app)) {
-        if (stats != nullptr) ++stats->derived_facts;
-        delta.push_back(std::move(fact));
-      }
+Status FactInsertSink::EndRound(uint32_t, const DeltaLog&,
+                                const DeriveStats& derive,
+                                DeltaLog& installed) {
+  ++stats.rounds;
+  stats.delta_joins += derive.seed_probes;
+  stats.seed_pairs_skipped += derive.seed_pairs_skipped;
+  for (DeltaFact& fact : pending) {
+    if (working.Insert(fact.vid, fact.method, fact.app)) {
+      ++stats.derived_facts;
+      installed.push_back(std::move(fact));
     }
-    pending.clear();
-  };
-
-  // Round 0: full evaluation of every rule in the stratum.
-  if (stats != nullptr) ++stats->rounds;
-  for (uint32_t r : stratum.rules) {
-    const Rule& rule = program.rules[r];
-    VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-        rule, ctx,
-        [&](const Bindings& bindings) { return derive_head(rule, bindings); }));
   }
-  install_pending();
-
-  // Semi-naive rounds: every new fact must be joined through at least one
-  // body occurrence of a this-stratum method, found through the
-  // frontier's (method, shape) index.
-  frontier = std::move(delta);
-  delta = DeltaLog();
-  DeltaIndex index;
-  for (uint32_t round = 1; !frontier.empty(); ++round) {
-    if (round >= max_rounds) {
-      return Status::Divergence("query stratum exceeded round bound");
-    }
-    delta.clear();
-    if (stats != nullptr) ++stats->rounds;
-    index.Build(frontier, versions);
-    for (uint32_t r : stratum.rules) {
-      const Rule& rule = program.rules[r];
-      for (size_t li = 0; li < rule.body.size(); ++li) {
-        const Literal& lit = rule.body[li];
-        if (lit.kind != Literal::Kind::kVersion || lit.negated) continue;
-        if (!std::binary_search(stratum.methods.begin(),
-                                stratum.methods.end(),
-                                lit.version.app.method)) {
-          continue;
-        }
-        MethodId method;
-        VidShape shape;
-        if (!SeedKeyForLiteral(rule, static_cast<uint32_t>(li), versions,
-                               &method, &shape)) {
-          continue;
-        }
-        const std::vector<const DeltaFact*>* bucket =
-            index.Added(method, shape);
-        if (bucket == nullptr) {
-          if (stats != nullptr) stats->seed_pairs_skipped += frontier.size();
-          continue;
-        }
-        if (stats != nullptr) {
-          stats->seed_pairs_skipped += frontier.size() - bucket->size();
-        }
-        for (const DeltaFact* fact : *bucket) {
-          Bindings seed;
-          if (!SeedBindingsFromDelta(rule, static_cast<uint32_t>(li), *fact,
-                                     versions, seed)) {
-            continue;
-          }
-          if (stats != nullptr) ++stats->delta_joins;
-          VERSO_RETURN_IF_ERROR(ForEachBodyMatchFrom(
-              rule, ctx, seed, static_cast<int>(li),
-              [&](const Bindings& bindings) {
-                return derive_head(rule, bindings);
-              }));
-        }
-      }
-    }
-    install_pending();
-    frontier = std::move(delta);
-    delta = DeltaLog();
-  }
-  if (stats != nullptr) {
-    stats->index_probes += istats.index_probes;
-    stats->index_hits += istats.index_hits;
-    stats->indexed_scan_avoided_facts += istats.indexed_scan_avoided_facts;
-  }
+  pending.clear();
   return Status::Ok();
 }
 
@@ -379,63 +290,22 @@ Result<ObjectBase> EvaluateQueries(QueryProgram& program,
   MatchContext ctx{symbols, versions, working, &istats};
   local.strata = static_cast<uint32_t>(stratification.strata.size());
 
-  for (const QueryStratum& stratum : stratification.strata) {
-    if (stratum.recursive && options.semi_naive) {
-      VERSO_RETURN_IF_ERROR(SolveRecursiveStratum(
-          program, stratum, symbols, versions, working,
-          options.max_rounds_per_stratum, &local));
+  for (uint32_t s = 0; s < stratification.strata.size(); ++s) {
+    const QueryStratum& stratum = stratification.strata[s];
+    FactInsertSink sink(versions, working, local);
+    if (stratum.recursive) {
+      VERSO_RETURN_IF_ERROR(RunFixpoint(program.rules, stratum.rules, ctx, s,
+                                        options.max_rounds_per_stratum,
+                                        options.semi_naive, sink));
       continue;
     }
-
-    // Buffered head install, as in SolveRecursiveStratum.
-    std::vector<DeltaFact> pending;
-    size_t installed = 0;
-    auto derive_head = [&](const Rule& rule,
-                           const Bindings& bindings) -> Status {
-      VERSO_ASSIGN_OR_RETURN(DeltaFact head,
-                             ResolveHeadFact(rule, bindings, versions));
-      pending.push_back(std::move(head));
-      return Status::Ok();
-    };
-    auto install_pending = [&]() {
-      for (DeltaFact& fact : pending) {
-        if (working.Insert(fact.vid, fact.method, fact.app)) {
-          ++local.derived_facts;
-          ++installed;
-        }
-      }
-      pending.clear();
-    };
-
-    // Round 0: full evaluation of every rule in the stratum — for a
-    // non-recursive stratum this already is the fixpoint.
-    ++local.rounds;
-    for (uint32_t r : stratum.rules) {
-      const Rule& rule = program.rules[r];
-      VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-          rule, ctx,
-          [&](const Bindings& bindings) { return derive_head(rule, bindings); }));
-      install_pending();
-    }
-    if (!stratum.recursive) continue;
-
-    // Naive ablation mode: re-run all rules until nothing new is derived.
-    for (uint32_t round = 1;; ++round) {
-      if (round >= options.max_rounds_per_stratum) {
-        return Status::Divergence("query stratum exceeded round bound");
-      }
-      installed = 0;
-      ++local.rounds;
-      for (uint32_t r : stratum.rules) {
-        const Rule& rule = program.rules[r];
-        VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-            rule, ctx, [&](const Bindings& bindings) {
-              return derive_head(rule, bindings);
-            }));
-        install_pending();
-      }
-      if (installed == 0) break;
-    }
+    // A non-recursive stratum reads only lower strata: one full pass is
+    // its fixpoint.
+    DeriveStats derive;
+    DeltaLog installed;
+    VERSO_RETURN_IF_ERROR(Derive(program.rules, stratum.rules, ctx,
+                                 /*frontier=*/nullptr, derive, sink));
+    VERSO_RETURN_IF_ERROR(sink.EndRound(0, DeltaLog(), derive, installed));
   }
 
   local.index_probes += istats.index_probes;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/fixpoint.h"
 #include "core/object_base.h"
 #include "core/program.h"
 #include "util/result.h"
@@ -68,7 +69,11 @@ struct QueryStratification {
 
 /// Runs AnalyzeRule over every rule and computes the SCC-based
 /// stratification. Fails (kNotStratifiable) when a negation occurs inside
-/// a strongly connected component — recursion through negation.
+/// a strongly connected component — recursion through negation. Each
+/// rule's seeding plan is then narrowed for the fixpoint kernel: within a
+/// stratum only the stratum's own derived facts change between rounds, so
+/// the rule seeds through its positive body literals over those methods
+/// and is fully seedable.
 Result<QueryStratification> AnalyzeQueryProgram(QueryProgram& program,
                                                 const SymbolTable& symbols);
 
@@ -88,32 +93,48 @@ struct QueryStats {
 
 struct QueryOptions {
   /// Use semi-naive (delta-driven) evaluation for recursive strata.
-  /// Naive re-derivation is kept for the ablation benchmark.
+  /// Naive re-derivation (same frozen rounds, every rule matched in full)
+  /// is kept as the differential oracle and for the ablation benchmark.
   bool semi_naive = true;
   uint32_t max_rounds_per_stratum = 1u << 20;
 };
 
 /// Resolves a rule's head under a complete body binding to the ground
 /// view fact it derives (`added` always true). The single head-resolution
-/// path shared by EvaluateQueries, SolveRecursiveStratum, and the views
-/// maintainer's sinks.
+/// path shared by FactInsertSink and the views maintainer's sinks.
 Result<DeltaFact> ResolveHeadFact(const Rule& rule, const Bindings& bindings,
                                   VersionTable& versions);
 
-/// Semi-naive fixpoint of one recursive stratum over `working`: round 0
-/// full-matches every stratum rule, later rounds probe only the frontier
-/// facts, found through their (method, shape) index. Rounds are frozen:
-/// derivation reads only the state the round began with, and every head
-/// fact installs into `working` at the round boundary. Counters
-/// accumulate into `stats` when given (rounds, derived_facts,
-/// delta_joins, seed_pairs_skipped). Rules must already be analyzed
-/// (AnalyzeQueryProgram). Shared by EvaluateQueries and the views
-/// subsystem's initial materialization.
-Status SolveRecursiveStratum(const QueryProgram& program,
-                             const QueryStratum& stratum,
-                             SymbolTable& symbols, VersionTable& versions,
-                             ObjectBase& working, uint32_t max_rounds,
-                             QueryStats* stats);
+/// The fact-insert head sink of the fixpoint kernel (core/fixpoint.h) for
+/// a derived-method stratum: each body match's head fact is buffered —
+/// the matcher holds pointers into the base's fact vectors — and installed
+/// into `working` at the round boundary. Counters accumulate into `stats`
+/// (rounds, derived_facts, delta_joins, seed_pairs_skipped). Used by
+/// EvaluateQueries and by the views subsystem's initial materialization.
+struct FactInsertSink {
+  FactInsertSink(VersionTable& versions, ObjectBase& working,
+                 QueryStats& stats)
+      : versions(versions), working(working), stats(stats) {}
+
+  VersionTable& versions;
+  ObjectBase& working;
+  QueryStats& stats;
+  std::vector<DeltaFact> pending;
+
+  Status operator()(const Rule& rule, const Bindings& bindings) {
+    VERSO_ASSIGN_OR_RETURN(DeltaFact head,
+                           ResolveHeadFact(rule, bindings, versions));
+    pending.push_back(std::move(head));
+    return Status::Ok();
+  }
+
+  void BeginRound(uint32_t) {}
+
+  /// Installs the buffered facts; the ones not yet present go to
+  /// `installed`.
+  Status EndRound(uint32_t round, const DeltaLog& frontier,
+                  const DeriveStats& derive, DeltaLog& installed);
+};
 
 /// Evaluates the derived methods over `base`, returning a new object base
 /// containing `base` plus all derived facts. Fails if a derived method

@@ -162,36 +162,6 @@ Result<DecodedFact> DecodeFact(BufferReader& reader, SymbolTable& symbols,
   return fact;
 }
 
-std::string EncodeObjectBase(const ObjectBase& base,
-                             const SymbolTable& symbols,
-                             const VersionTable& versions) {
-  BufferWriter writer;
-  writer.Varint(base.fact_count());
-  for (const auto& [vid, state] : base.versions()) {
-    for (const auto& [method, apps] : state->methods()) {
-      for (const GroundApp& app : apps) {
-        EncodeFact(writer, vid, method, app, symbols, versions);
-      }
-    }
-  }
-  return writer.Take();
-}
-
-Status DecodeObjectBaseInto(std::string_view data, SymbolTable& symbols,
-                            VersionTable& versions, ObjectBase& base) {
-  BufferReader reader(data);
-  VERSO_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
-  for (uint64_t i = 0; i < count; ++i) {
-    VERSO_ASSIGN_OR_RETURN(DecodedFact fact,
-                           DecodeFact(reader, symbols, versions));
-    base.Insert(fact.vid, fact.method, std::move(fact.app));
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("object base payload has trailing bytes");
-  }
-  return Status::Ok();
-}
-
 std::string EncodeVersionKey(Vid vid, const SymbolTable& symbols,
                              const VersionTable& versions) {
   BufferWriter writer;
@@ -313,24 +283,6 @@ Result<FactDelta> DecodeDeltaFrom(BufferReader& reader, SymbolTable& symbols,
 }
 
 }  // namespace
-
-std::string EncodeDelta(const FactDelta& delta, const SymbolTable& symbols,
-                        const VersionTable& versions) {
-  BufferWriter writer;
-  EncodeDeltaInto(writer, delta, symbols, versions);
-  return writer.Take();
-}
-
-Result<FactDelta> DecodeDelta(std::string_view data, SymbolTable& symbols,
-                              VersionTable& versions) {
-  BufferReader reader(data);
-  VERSO_ASSIGN_OR_RETURN(FactDelta delta,
-                         DecodeDeltaFrom(reader, symbols, versions));
-  if (!reader.AtEnd()) {
-    return Status::Corruption("delta payload has trailing bytes");
-  }
-  return delta;
-}
 
 std::string EncodeDeltaBatch(const std::vector<FactDelta>& deltas,
                              const SymbolTable& symbols,

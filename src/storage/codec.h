@@ -13,13 +13,14 @@
 
 namespace verso {
 
-/// Binary encoding of facts, object bases, and fact deltas. OID/VID
+/// Binary encoding of facts, per-version checkpoint records, and fact
+/// deltas. OID/VID
 /// handles are engine-local, so everything is serialized *symbolically*
 /// (names and exact numerics) and re-interned on decode; a stored base can
 /// be loaded into any engine.
 ///
 /// Primitives: unsigned LEB128 varints, zigzag for signed, length-prefixed
-/// strings. Integrity (CRC, framing) is layered on top by snapshot/WAL.
+/// strings. Integrity (CRC, framing) is layered on top by the WAL frame.
 
 class BufferWriter {
  public:
@@ -65,13 +66,6 @@ void EncodeFact(BufferWriter& writer, Vid vid, MethodId method,
 Result<DecodedFact> DecodeFact(BufferReader& reader, SymbolTable& symbols,
                                VersionTable& versions);
 
-/// Whole object base: varint fact count, then facts.
-std::string EncodeObjectBase(const ObjectBase& base,
-                             const SymbolTable& symbols,
-                             const VersionTable& versions);
-Status DecodeObjectBaseInto(std::string_view data, SymbolTable& symbols,
-                            VersionTable& versions, ObjectBase& base);
-
 /// Per-version images for the checkpoint store (src/store): the base is
 /// stored one version per key so recovery is a single range scan and a
 /// checkpoint can delete exactly the versions that disappeared.
@@ -91,7 +85,7 @@ std::string EncodeVersionRecord(Vid vid, const VersionState& state,
 Status DecodeVersionRecordInto(std::string_view data, SymbolTable& symbols,
                                VersionTable& versions, ObjectBase& base);
 
-/// Difference between two object bases; the WAL logs one delta per
+/// Difference between two object bases: the fact-level effect of one
 /// committed update-program.
 struct FactDelta {
   std::vector<DecodedFact> added;
@@ -103,13 +97,8 @@ struct FactDelta {
 FactDelta ComputeDelta(const ObjectBase& before, const ObjectBase& after);
 void ApplyDelta(const FactDelta& delta, ObjectBase& base);
 
-std::string EncodeDelta(const FactDelta& delta, const SymbolTable& symbols,
-                        const VersionTable& versions);
-Result<FactDelta> DecodeDelta(std::string_view data, SymbolTable& symbols,
-                              VersionTable& versions);
-
 /// Group-commit payload: the deltas of a whole batch of transactions, in
-/// commit order, framed as one WAL record (WalRecordKind::kBatch).
+/// commit order, framed as one WAL record.
 /// Format: varint transaction count, then each transaction's delta image.
 std::string EncodeDeltaBatch(const std::vector<FactDelta>& deltas,
                              const SymbolTable& symbols,

@@ -96,10 +96,6 @@ struct StorageStats {
 ///                                    file exists depends on the backend)
 ///     <dir>/wal.log                  fact deltas committed since the
 ///                                    last checkpoint
-///     <dir>/snapshot.vsnp            legacy pre-store checkpoint image;
-///                                    still recovered from, superseded
-///                                    (and removed) by the next
-///                                    Checkpoint()
 ///
 /// Open() recovers from the latest store generation — the base is stored
 /// one version per key under "b/", rebuilt by a single range scan — then
@@ -116,9 +112,8 @@ struct StorageStats {
 ///
 /// Commits are batched at the WAL level: every append is one record
 /// carrying the whole delta of one transaction (or, via ExecuteBatch, of a
-/// whole group of transactions — one durability write for the group).
-/// Recovery replays both the batched format and the legacy
-/// one-delta-per-record format, so pre-batch logs stay loadable.
+/// whole group of transactions — one durability write for the group), as
+/// an EncodeDeltaBatch image.
 ///
 /// Failure model: commits are all-or-nothing. A WAL append that fails
 /// with kIoTransient is retried (rolled back to the pre-append tail, then
@@ -247,14 +242,12 @@ class Database {
         current_(engine.MakeBase()),
         wal_(dir_.empty() ? std::string() : dir_ + "/wal.log", env_) {}
 
-  std::string snapshot_path() const { return dir_ + "/snapshot.vsnp"; }
-
   /// Refuses writes while degraded.
   Status CheckWritable() const;
   /// Appends one record durably: transient failures roll the tail back
   /// and retry with bounded backoff; exhaustion or a permanent error
   /// degrades the database. The in-memory base is untouched on failure.
-  Status AppendWalDurable(WalRecordKind kind, std::string_view payload);
+  Status AppendWalDurable(std::string_view payload);
   /// Chops any partial frame a failed append left behind, so the retry
   /// starts from the last good tail.
   Status RollbackWalTail(size_t pre_size);

@@ -23,23 +23,19 @@ uint32_t ReadU32(const char* p) {
 }
 
 constexpr uint32_t kBatchBit = 0x80000000u;
-// v2 frames carry a CRC over the length word itself; legacy v1 frames
-// (bit clear) are still read, so old logs replay byte-for-byte.
 constexpr uint32_t kHeaderCrcBit = 0x40000000u;
 constexpr uint32_t kFlagBits = kBatchBit | kHeaderCrcBit;
+constexpr size_t kHeaderBytes = 12;
 
 }  // namespace
 
-Result<std::string> EncodeWalFrame(WalRecordKind kind,
-                                   std::string_view payload) {
+Result<std::string> EncodeWalFrame(std::string_view payload) {
   if (payload.size() >= (1ull << 30)) {
     return Status::InvalidArgument("WAL payload exceeds 1 GiB frame limit");
   }
-  uint32_t length_word =
-      static_cast<uint32_t>(payload.size()) | kHeaderCrcBit;
-  if (kind == WalRecordKind::kBatch) length_word |= kBatchBit;
+  uint32_t length_word = static_cast<uint32_t>(payload.size()) | kFlagBits;
   std::string record;
-  record.reserve(payload.size() + 12);
+  record.reserve(payload.size() + kHeaderBytes);
   AppendU32(record, length_word);
   // Header CRC over the encoded length word: a bit-flip in the length is
   // caught deterministically instead of mis-framing everything after it.
@@ -49,8 +45,8 @@ Result<std::string> EncodeWalFrame(WalRecordKind kind,
   return record;
 }
 
-Status WalWriter::Append(WalRecordKind kind, std::string_view payload) {
-  VERSO_ASSIGN_OR_RETURN(std::string record, EncodeWalFrame(kind, payload));
+Status WalWriter::Append(std::string_view payload) {
+  VERSO_ASSIGN_OR_RETURN(std::string record, EncodeWalFrame(payload));
   return env_->AppendFile(path_, record);
 }
 
@@ -60,43 +56,32 @@ Result<WalReadResult> ReadWal(const std::string& path, Env* env) {
   if (!env->FileExists(path)) return result;
   VERSO_ASSIGN_OR_RETURN(std::string file, env->ReadFile(path));
   size_t pos = 0;
-  while (pos + 8 <= file.size()) {
+  while (pos + kHeaderBytes <= file.size()) {
     uint32_t length_word = ReadU32(file.data() + pos);
-    size_t header = 8;
-    uint32_t crc;
-    if (length_word & kHeaderCrcBit) {
-      // v2 frame: length word | header CRC | payload CRC | payload.
-      header = 12;
-      if (pos + header > file.size()) {
-        result.truncated_tail = true;  // torn mid-header
-        break;
-      }
-      if (Crc32(file.data() + pos, 4) != ReadU32(file.data() + pos + 4)) {
-        result.truncated_tail = true;  // length word is damaged
-        break;
-      }
-      crc = ReadU32(file.data() + pos + 8);
-    } else {
-      crc = ReadU32(file.data() + pos + 4);
+    if ((length_word & kFlagBits) != kFlagBits) {
+      result.truncated_tail = true;  // not a batched, header-CRC frame
+      break;
     }
-    WalRecordKind kind = (length_word & kBatchBit) ? WalRecordKind::kBatch
-                                                   : WalRecordKind::kDelta;
+    if (Crc32(file.data() + pos, 4) != ReadU32(file.data() + pos + 4)) {
+      result.truncated_tail = true;  // length word is damaged
+      break;
+    }
+    uint32_t crc = ReadU32(file.data() + pos + 8);
     uint32_t length = length_word & ~kFlagBits;
-    if (pos + header + length > file.size()) {
+    if (pos + kHeaderBytes + length > file.size()) {
       result.truncated_tail = true;  // torn final record: crashed writer
       break;
     }
-    const char* payload = file.data() + pos + header;
+    const char* payload = file.data() + pos + kHeaderBytes;
     if (Crc32(payload, length) != crc) {
       result.truncated_tail = true;
       break;
     }
-    result.records.push_back(
-        {kind, std::string(payload, length), pos, pos + header + length});
-    pos += header + length;
+    result.records.push_back({std::string(payload, length)});
+    pos += kHeaderBytes + length;
   }
   if (pos != file.size() && !result.truncated_tail) {
-    result.truncated_tail = true;  // trailing garbage shorter than a header
+    result.truncated_tail = true;  // torn mid-header, or short garbage
   }
   result.valid_bytes = pos;
   return result;

@@ -10,29 +10,14 @@
 
 namespace verso {
 
-/// Payload framing of a WAL record, distinguished at the frame level so
-/// recovery can replay logs written by any version of the database layer.
-enum class WalRecordKind : uint8_t {
-  /// Legacy framing: the payload is one EncodeDelta image — one committed
-  /// transaction per record.
-  kDelta = 0,
-  /// Batched framing: the payload is one EncodeDeltaBatch image — a whole
-  /// group-committed sequence of transaction deltas in one record (one
-  /// durability write for the batch).
-  kBatch = 1,
-};
-
 /// Append-only write-ahead log of opaque records (the database layers
-/// fact-delta payloads on top). Frame format v2 (what Append writes):
+/// group-commit fact-delta payloads on top). Frame format:
 ///     u32 length_word | u32 CRC32(length_word) | u32 CRC32(payload) | payload
-/// The length word spends two high bits on flags (payloads are far below
-/// 1 GiB, so they are free): bit 31 marks batched records, bit 30 marks
-/// the v2 header. The header CRC covers the length word, so a bit-flip in
-/// the length no longer mis-frames the rest of the log — v1 frames relied
-/// on the payload CRC landing wrong, which is only probabilistic.
-/// Legacy v1 frames (bit 30 clear) omit the header CRC:
-///     u32 length_word | u32 CRC32(payload) | payload
-/// and stay readable byte-for-byte; ReadWal accepts both in one log.
+/// The length word spends its two high bits on flags (payloads are far
+/// below 1 GiB, so they are free): bit 31 marks a batched record, bit 30
+/// the header CRC. Every frame sets both. The header CRC covers the length
+/// word, so a bit-flip in the length never mis-frames the rest of the
+/// log. A frame with either flag clear is treated like a corrupt one.
 /// Recovery reads records until EOF or the first torn/corrupt record;
 /// everything before the tear is returned, the tail is ignored — the
 /// standard RocksDB-style contract for crashed writers.
@@ -41,10 +26,7 @@ class WalWriter {
   explicit WalWriter(std::string path, Env* env = nullptr)
       : path_(std::move(path)), env_(env != nullptr ? env : Env::Default()) {}
 
-  Status Append(std::string_view payload) {
-    return Append(WalRecordKind::kDelta, payload);
-  }
-  Status Append(WalRecordKind kind, std::string_view payload);
+  Status Append(std::string_view payload);
 
   const std::string& path() const { return path_; }
 
@@ -54,13 +36,7 @@ class WalWriter {
 };
 
 struct WalRecord {
-  WalRecordKind kind = WalRecordKind::kDelta;
   std::string payload;
-  /// Byte offset of this record's frame in the log file, and of the first
-  /// byte after it. Checkpoint recovery uses these to skip records the
-  /// installed snapshot already folds.
-  size_t offset = 0;
-  size_t end_offset = 0;
 };
 
 struct WalReadResult {
@@ -81,14 +57,13 @@ struct WalReadResult {
 /// Reads all valid records; a missing file yields zero records.
 Result<WalReadResult> ReadWal(const std::string& path, Env* env = nullptr);
 
-/// Encodes one v2 frame — the exact byte image WalWriter::Append writes.
+/// Encodes one frame — the exact byte image WalWriter::Append writes.
 /// Exposed so other persistence layers (src/store) frame their records
 /// identically and recover them with ReadWal: the page-log backend appends
 /// these frames, and the mem backend's image file is one such frame
 /// installed by atomic rename. Fails for payloads at or past the 1 GiB
 /// frame limit (the two high length bits are flags).
-Result<std::string> EncodeWalFrame(WalRecordKind kind,
-                                   std::string_view payload);
+Result<std::string> EncodeWalFrame(std::string_view payload);
 
 }  // namespace verso
 

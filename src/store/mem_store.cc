@@ -14,7 +14,7 @@ Result<std::unique_ptr<MemStore>> MemStore::Open(const std::string& dir,
   std::string path = dir.empty() ? std::string() : dir + "/store.img";
   std::unique_ptr<MemStore> store(new MemStore(std::move(path), env));
   if (!store->path_.empty() && env->FileExists(store->path_)) {
-    // The image is exactly one v2 frame; WriteFileAtomic installed it, so
+    // The image is exactly one WAL frame; WriteFileAtomic installed it, so
     // anything else — a torn frame, trailing bytes, several frames — is
     // damage, not a crash artifact, and must fail the open.
     VERSO_ASSIGN_OR_RETURN(WalReadResult image,
@@ -90,8 +90,7 @@ Status MemStore::ApplyCommit(const WriteTransaction& txn) {
   if (!path_.empty()) {
     VERSO_ASSIGN_OR_RETURN(
         std::string frame,
-        EncodeWalFrame(WalRecordKind::kBatch,
-                       store_internal::EncodeImage(data, meta)));
+        EncodeWalFrame(store_internal::EncodeImage(data, meta)));
     VERSO_RETURN_IF_ERROR(env_->WriteFileAtomic(path_, frame));
   }
   data_ = std::move(data);

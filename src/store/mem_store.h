@@ -12,7 +12,7 @@
 namespace verso {
 
 /// In-memory ordered-map backend (StoreBackend::kMem). With a directory,
-/// every commit rewrites `<dir>/store.img` — one CRC'd v2 WAL frame
+/// every commit rewrites `<dir>/store.img` — one CRC'd WAL frame
 /// holding the whole image — installed by Env::WriteFileAtomic, so the
 /// rename is the only commit point and a crash anywhere leaves either the
 /// old image or the new one, never a blend. With no directory the store

@@ -74,7 +74,7 @@ Status PageLogStore::ApplyCommit(const WriteTransaction& txn) {
         "page log tail is unknown after a failed append; reopen the store");
   }
   std::string payload = store_internal::EncodeOps(txn.ops());
-  Status appended = writer_.Append(WalRecordKind::kBatch, payload);
+  Status appended = writer_.Append(payload);
   if (!appended.ok()) {
     // A failed append may have landed a partial frame; roll the file back
     // to the pre-append tail so a later commit extends valid data. If the
@@ -86,7 +86,7 @@ Status PageLogStore::ApplyCommit(const WriteTransaction& txn) {
     if (!rolled.ok()) tail_valid_ = false;
     return appended;
   }
-  bytes_ += payload.size() + 12;  // v2 frame: 12-byte header + payload
+  bytes_ += payload.size() + 12;  // 12-byte frame header + payload
   for (const WriteTransaction::Op& op : txn.ops()) {
     switch (op.kind) {
       case WriteTransaction::Op::Kind::kPut:
@@ -125,8 +125,8 @@ void PageLogStore::MaybeCompact() {
   // compacted one, both replaying to the identical index. Best-effort —
   // on failure the un-compacted log still holds everything, so the error
   // is swallowed and the next commit retries the size check.
-  Result<std::string> frame = EncodeWalFrame(
-      WalRecordKind::kBatch, store_internal::EncodeImage(data_, meta_));
+  Result<std::string> frame =
+      EncodeWalFrame(store_internal::EncodeImage(data_, meta_));
   if (!frame.ok()) return;
   if (!env_->WriteFileAtomic(path_, *frame).ok()) return;
   bytes_ = frame->size();

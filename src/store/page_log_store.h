@@ -14,7 +14,7 @@
 namespace verso {
 
 /// Append-only page-log backend (StoreBackend::kPageLog). The data file
-/// `<dir>/store.plog` is a sequence of CRC'd v2 WAL frames, one per
+/// `<dir>/store.plog` is a sequence of CRC'd WAL frames, one per
 /// committed transaction, each carrying that commit's put/delete/meta ops;
 /// the in-memory key index is rebuilt on open by replaying the log in
 /// order. A torn final frame (crashed writer) is chopped on open — the

@@ -18,14 +18,13 @@ class Store;
 /// Which Store implementation backs a database directory.
 enum class StoreBackend : uint8_t {
   /// In-memory ordered map; when the store has a directory, every commit
-  /// rewrites `<dir>/store.img` — one CRC'd v2 frame holding the whole
+  /// rewrites `<dir>/store.img` — one CRC'd WAL frame holding the whole
   /// image — installed by atomic rename. O(base) per commit, simplest
   /// crash story (the rename is the only commit point): the right trade
-  /// for small bases, and the codec path the pre-store snapshot
-  /// checkpoint used.
+  /// for small bases.
   kMem = 0,
   /// Append-only page log `<dir>/store.plog`: each commit appends one
-  /// CRC'd v2 frame of put/delete ops; an in-memory key index is rebuilt
+  /// CRC'd WAL frame of put/delete ops; an in-memory key index is rebuilt
   /// by replay on open, and the log compacts itself once dead bytes
   /// dominate. O(delta) per commit — the backend shape for bases that
   /// outgrow whole-image rewrites.

@@ -73,44 +73,38 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
 Status MaterializedView::Materialize() {
   ++stats_.full_evaluations;
   MatchContext ctx{symbols_, versions_, working_, &istats_};
-  // Buffer head facts per enumeration: sinks must not grow the object
-  // base mid-match (the matcher holds pointers into its fact vectors).
-  std::vector<ViewFactKey> pending;
-
-  for (const QueryStratum& stratum : stratification_.strata) {
-    if (!stratum.recursive) {
-      // Counting stratum: one full pass per rule; every satisfying body
-      // binding is one derivation of its head fact.
-      for (uint32_t r : stratum.rules) {
-        const Rule& rule = program_.rules[r];
-        pending.clear();
-        VERSO_RETURN_IF_ERROR(ForEachBodyMatch(
-            rule, ctx, [&](const Bindings& bindings) -> Status {
-              VERSO_ASSIGN_OR_RETURN(
-                  DeltaFact head, ResolveHeadFact(rule, bindings, versions_));
-              pending.push_back({head.vid, head.method, std::move(head.app)});
-              return Status::Ok();
-            }));
-        for (ViewFactKey& head : pending) {
-          if (++support_[head] == 1) {
-            working_.Insert(head.vid, head.method, head.app);
-          }
-          ++stats_.support_increments;
-        }
-      }
+  for (uint32_t s = 0; s < stratification_.strata.size(); ++s) {
+    const QueryStratum& stratum = stratification_.strata[s];
+    if (stratum.recursive) {
+      // Recursive stratum: set-semantics semi-naive fixpoint (DRed strata
+      // carry no counts).
+      QueryStats qstats;
+      FactInsertSink sink(versions_, working_, qstats);
+      VERSO_RETURN_IF_ERROR(RunFixpoint(program_.rules, stratum.rules, ctx, s,
+                                        kMaxRounds, /*semi_naive=*/true,
+                                        sink));
+      stats_.seed_probes += qstats.delta_joins;
       continue;
     }
-
-    // Recursive stratum: set-semantics semi-naive fixpoint (DRed strata
-    // carry no counts); shared with EvaluateQueries.
-    QueryStats qstats;
-    VERSO_RETURN_IF_ERROR(SolveRecursiveStratum(
-        program_, stratum, symbols_, versions_, working_, kMaxRounds,
-        &qstats));
-    stats_.seed_probes += qstats.delta_joins;
-    stats_.index_probes += qstats.index_probes;
-    stats_.index_hits += qstats.index_hits;
-    stats_.indexed_scan_avoided_facts += qstats.indexed_scan_avoided_facts;
+    // Counting stratum: one full pass; every satisfying body binding is
+    // one derivation of its head fact. Heads are buffered: the matcher
+    // holds pointers into the base's fact vectors.
+    std::vector<ViewFactKey> pending;
+    DeriveStats derive;
+    VERSO_RETURN_IF_ERROR(Derive(
+        program_.rules, stratum.rules, ctx, /*frontier=*/nullptr, derive,
+        [&](const Rule& rule, const Bindings& bindings) -> Status {
+          VERSO_ASSIGN_OR_RETURN(DeltaFact head,
+                                 ResolveHeadFact(rule, bindings, versions_));
+          pending.push_back({head.vid, head.method, std::move(head.app)});
+          return Status::Ok();
+        }));
+    for (ViewFactKey& head : pending) {
+      if (++support_[head] == 1) {
+        working_.Insert(head.vid, head.method, head.app);
+      }
+      ++stats_.support_increments;
+    }
   }
   FoldIndexStats();
   return Status::Ok();

@@ -72,6 +72,27 @@ TEST_F(QueryTest, SemiNaiveMatchesNaive) {
   ObjectBase full = Eval(kGraph, kClosure, naive);
   EXPECT_TRUE(semi == full);
   EXPECT_GT(semi_stats.delta_joins, 0u);
+  // Both modes install at round boundaries, so they take the same rounds.
+  EXPECT_EQ(semi_stats.rounds, stats_.rounds);
+  EXPECT_EQ(semi_stats.derived_facts, stats_.derived_facts);
+  EXPECT_EQ(stats_.delta_joins, 0u);
+}
+
+TEST_F(QueryTest, RoundBoundIsDivergenceInBothModes) {
+  for (bool semi_naive : {true, false}) {
+    ObjectBase base = Base(kGraph);
+    Result<QueryProgram> program =
+        ParseQueryProgram(kClosure, engine_.symbols());
+    ASSERT_TRUE(program.ok());
+    QueryOptions options;
+    options.semi_naive = semi_naive;
+    options.max_rounds_per_stratum = 2;
+    Result<ObjectBase> out =
+        EvaluateQueries(*program, base, engine_, nullptr, options);
+    ASSERT_FALSE(out.ok()) << "semi_naive=" << semi_naive;
+    EXPECT_EQ(out.status().code(), StatusCode::kDivergence)
+        << "semi_naive=" << semi_naive;
+  }
 }
 
 TEST_F(QueryTest, StratifiedNegation) {

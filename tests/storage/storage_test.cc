@@ -1,5 +1,5 @@
-// Persistence substrate: codec round-trips, snapshot integrity, WAL
-// framing with torn-tail recovery, and the Database facade.
+// Persistence substrate: codec round-trips, WAL framing with torn-tail
+// recovery, and the Database facade.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "parser/parser.h"
 #include "storage/codec.h"
 #include "storage/database.h"
-#include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/crc32.h"
 #include "util/fault_env.h"
@@ -90,19 +89,33 @@ constexpr const char* kRichBase = R"(
     m.at@1,2 -> 20.   m.at@1,"s" -> -3.5.
 )";
 
+/// Encodes `base` as the checkpoint store does: one EncodeVersionRecord
+/// image per version.
+std::vector<std::string> EncodeVersionRecords(const ObjectBase& base,
+                                              Engine& engine) {
+  std::vector<std::string> records;
+  for (const auto& [vid, state] : base.versions()) {
+    records.push_back(EncodeVersionRecord(vid, *state, engine.symbols(),
+                                          engine.versions()));
+  }
+  return records;
+}
+
 TEST_F(StorageFixture, ObjectBaseEncodesAcrossEngines) {
   Engine a;
   ObjectBase base = Base(kRichBase, a);
-  std::string payload = EncodeObjectBase(base, a.symbols(), a.versions());
+  std::vector<std::string> records = EncodeVersionRecords(base, a);
 
   // Decode into a *different* engine whose interning order differs.
   Engine b;
   b.symbols().Symbol("unrelated");
   b.symbols().Symbol("phil");
   ObjectBase decoded = b.MakeBase();
-  ASSERT_TRUE(DecodeObjectBaseInto(payload, b.symbols(), b.versions(),
-                                   decoded)
-                  .ok());
+  for (const std::string& record : records) {
+    ASSERT_TRUE(DecodeVersionRecordInto(record, b.symbols(), b.versions(),
+                                        decoded)
+                    .ok());
+  }
   EXPECT_EQ(ObjectBaseToString(decoded, b.symbols(), b.versions()),
             ObjectBaseToString(base, a.symbols(), a.versions()));
 }
@@ -118,57 +131,28 @@ TEST_F(StorageFixture, DeltaComputeApplyInverts) {
   ApplyDelta(delta, patched);
   EXPECT_TRUE(patched == after);
 
-  std::string payload = EncodeDelta(delta, engine.symbols(),
-                                    engine.versions());
-  Result<FactDelta> back =
-      DecodeDelta(payload, engine.symbols(), engine.versions());
+  std::string payload = EncodeDeltaBatch(delta, engine.symbols(),
+                                         engine.versions());
+  Result<std::vector<FactDelta>> back =
+      DecodeDeltaBatch(payload, engine.symbols(), engine.versions());
   ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back->size(), 1u);
   ObjectBase patched2 = before;
-  ApplyDelta(*back, patched2);
+  ApplyDelta(back->front(), patched2);
   EXPECT_TRUE(patched2 == after);
 }
 
 TEST_F(StorageFixture, CorruptPayloadIsDetected) {
   Engine engine;
   ObjectBase base = Base("a.m -> 1.", engine);
-  std::string payload = EncodeObjectBase(base, engine.symbols(),
-                                         engine.versions());
+  std::vector<std::string> records = EncodeVersionRecords(base, engine);
+  ASSERT_EQ(records.size(), 1u);
+  std::string payload = records[0];
   payload.resize(payload.size() - 1);  // truncate
   ObjectBase out = engine.MakeBase();
-  EXPECT_FALSE(DecodeObjectBaseInto(payload, engine.symbols(),
-                                    engine.versions(), out)
+  EXPECT_FALSE(DecodeVersionRecordInto(payload, engine.symbols(),
+                                       engine.versions(), out)
                    .ok());
-}
-
-// ---- snapshot ---------------------------------------------------------------
-
-TEST_F(StorageFixture, SnapshotRoundTrip) {
-  Engine a;
-  ObjectBase base = Base(kRichBase, a);
-  std::string path = dir_ + "/snap.vsnp";
-  ASSERT_TRUE(WriteSnapshot(path, base, a.symbols(), a.versions()).ok());
-
-  Engine b;
-  ObjectBase loaded = b.MakeBase();
-  ASSERT_TRUE(
-      ReadSnapshotInto(path, b.symbols(), b.versions(), loaded).ok());
-  EXPECT_EQ(ObjectBaseToString(loaded, b.symbols(), b.versions()),
-            ObjectBaseToString(base, a.symbols(), a.versions()));
-}
-
-TEST_F(StorageFixture, SnapshotBitFlipIsCorruption) {
-  Engine engine;
-  ObjectBase base = Base("a.m -> 1.", engine);
-  std::string path = dir_ + "/snap.vsnp";
-  ASSERT_TRUE(
-      WriteSnapshot(path, base, engine.symbols(), engine.versions()).ok());
-  std::string bytes = *ReadFile(path);
-  bytes[bytes.size() / 2] ^= 0x40;
-  ASSERT_TRUE(WriteFile(path, bytes).ok());
-  ObjectBase out = engine.MakeBase();
-  Status s = ReadSnapshotInto(path, engine.symbols(), engine.versions(), out);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
 }
 
 // ---- WAL --------------------------------------------------------------------
@@ -184,7 +168,6 @@ TEST_F(StorageFixture, WalAppendAndRead) {
   EXPECT_FALSE(r->truncated_tail);
   ASSERT_EQ(r->records.size(), 3u);
   EXPECT_EQ(r->records[0].payload, "first");
-  EXPECT_EQ(r->records[0].kind, WalRecordKind::kDelta);
   EXPECT_EQ(r->records[1].payload, "");
   EXPECT_EQ(r->records[2].payload, "third record");
 }
@@ -256,40 +239,6 @@ TEST_F(StorageFixture, LengthWordBitFlipIsCaughtDeterministically) {
     EXPECT_TRUE(r->records.empty()) << "bit " << bit;
     EXPECT_EQ(r->valid_bytes, 0u) << "bit " << bit;
   }
-}
-
-TEST_F(StorageFixture, LegacyV1FramesStillReadable) {
-  // Hand-craft a pre-header-CRC frame (u32 length | u32 payload CRC |
-  // payload) and append a modern v2 record after it: one log, both frame
-  // versions, both replayed.
-  std::string path = dir_ + "/wal.log";
-  const std::string payload = "legacy v1 payload";
-  std::string frame;
-  uint32_t length = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame += static_cast<char>((length >> (8 * i)) & 0xff);
-  }
-  uint32_t crc = Crc32(payload.data(), payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame += static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-  frame += payload;
-  ASSERT_TRUE(AppendFile(path, frame).ok());
-
-  WalWriter writer(path);
-  ASSERT_TRUE(writer.Append(WalRecordKind::kBatch, "modern v2").ok());
-
-  Result<WalReadResult> r = ReadWal(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->truncated_tail);
-  ASSERT_EQ(r->records.size(), 2u);
-  EXPECT_EQ(r->records[0].payload, payload);
-  EXPECT_EQ(r->records[0].kind, WalRecordKind::kDelta);
-  EXPECT_EQ(r->records[1].payload, "modern v2");
-  EXPECT_EQ(r->records[1].kind, WalRecordKind::kBatch);
-  // v1 header is 8 bytes, v2 is 12: the offsets prove both were framed.
-  EXPECT_EQ(r->records[0].end_offset, 8 + payload.size());
-  EXPECT_EQ(r->records[1].offset, r->records[0].end_offset);
 }
 
 // ---- Database ----------------------------------------------------------------
@@ -441,6 +390,48 @@ TEST_F(StorageFixture, CorruptTailPreservationIsCappedAndNonFatal) {
   }
 }
 
+TEST_F(StorageFixture, V1FrameIsTruncatedAndPreservedNotReplayed) {
+  // The pre-header-CRC frame layout (u32 length | u32 payload CRC |
+  // payload) is no longer read: even a well-formed v1 frame carrying a
+  // valid delta payload ends the valid prefix. Recovery chops it off,
+  // keeps its bytes in wal.log.corrupt, and never applies its delta.
+  std::string dbdir = dir_ + "/db_v1";
+  {
+    Engine engine;
+    Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->ImportBase(Base("a.m -> 1.", engine)).ok());
+  }
+  const size_t valid_bytes = *FileSize(dbdir + "/wal.log");
+  std::string frame;
+  {
+    Engine engine;
+    FactDelta delta =
+        ComputeDelta(engine.MakeBase(), Base("v1.m -> 2.", engine));
+    const std::string payload =
+        EncodeDeltaBatch(delta, engine.symbols(), engine.versions());
+    auto append_u32 = [&](uint32_t v) {
+      for (int i = 0; i < 4; ++i) frame += static_cast<char>(v >> (8 * i));
+    };
+    append_u32(static_cast<uint32_t>(payload.size()));
+    append_u32(Crc32(payload.data(), payload.size()));
+    frame += payload;
+  }
+  ASSERT_TRUE(AppendFile(dbdir + "/wal.log", frame).ok());
+
+  Engine engine;
+  Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE((*db)->recovered_from_torn_wal());
+  EXPECT_EQ((*db)->wal_records_since_checkpoint(), 1u);
+  EXPECT_EQ(*FileSize(dbdir + "/wal.log"), valid_bytes);
+  EXPECT_EQ(*ReadFile(dbdir + "/wal.log.corrupt"), frame);
+  Vid a = engine.versions().OfOid(engine.symbols().Symbol("a"));
+  EXPECT_NE((*db)->current().StateOf(a), nullptr);
+  Vid v1 = engine.versions().OfOid(engine.symbols().Symbol("v1"));
+  EXPECT_EQ((*db)->current().StateOf(v1), nullptr);
+}
+
 TEST_F(StorageFixture, ExecuteBatchGroupCommitsOneRecord) {
   std::string dbdir = dir_ + "/db_batch";
   {
@@ -464,7 +455,6 @@ TEST_F(StorageFixture, ExecuteBatchGroupCommitsOneRecord) {
     Result<WalReadResult> wal = ReadWal(dbdir + "/wal.log");
     ASSERT_TRUE(wal.ok());
     ASSERT_EQ(wal->records.size(), 2u);
-    EXPECT_EQ(wal->records[1].kind, WalRecordKind::kBatch);
   }
   // Recovery replays every transaction of the batch in order.
   {
@@ -506,55 +496,6 @@ TEST_F(StorageFixture, ExecuteBatchIsAllOrNothing) {
   GroundApp b;
   b.result = engine.symbols().Symbol("b");
   EXPECT_FALSE((*db)->current().Contains(o, engine.symbols().Method("m"), b));
-}
-
-TEST_F(StorageFixture, RecoveryReplaysLegacyAndBatchedRecords) {
-  std::string dbdir = dir_ + "/db_mixed";
-  ASSERT_TRUE(EnsureDirectory(dbdir).ok());
-  // Hand-write a legacy (pre-batching) record: one bare EncodeDelta image
-  // per transaction, framed without the batch bit.
-  {
-    Engine engine;
-    ObjectBase before = engine.MakeBase();
-    ObjectBase after = Base("a.m -> 1.  b.m -> 2.", engine);
-    FactDelta delta = ComputeDelta(before, after);
-    WalWriter writer(dbdir + "/wal.log");
-    ASSERT_TRUE(writer
-                    .Append(WalRecordKind::kDelta,
-                            EncodeDelta(delta, engine.symbols(),
-                                        engine.versions()))
-                    .ok());
-  }
-  // A fresh database replays the legacy record, then appends batched
-  // records of its own; a third incarnation replays the mixed log.
-  {
-    Engine engine;
-    Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
-    ASSERT_TRUE(db.ok());
-    Vid a = engine.versions().OfOid(engine.symbols().Symbol("a"));
-    GroundApp one;
-    one.result = engine.symbols().Int(1);
-    ASSERT_TRUE(
-        (*db)->current().Contains(a, engine.symbols().Method("m"), one));
-    Result<Program> ins = ParseProgram("t: ins[c].m -> 3.", engine);
-    ASSERT_TRUE(ins.ok());
-    ASSERT_TRUE((*db)->Execute(*ins).ok());
-  }
-  {
-    Engine engine;
-    Result<std::unique_ptr<Database>> db = Database::Open(dbdir, engine);
-    ASSERT_TRUE(db.ok());
-    EXPECT_EQ((*db)->wal_records_since_checkpoint(), 2u);
-    Result<WalReadResult> wal = ReadWal(dbdir + "/wal.log");
-    ASSERT_TRUE(wal.ok());
-    ASSERT_EQ(wal->records.size(), 2u);
-    EXPECT_EQ(wal->records[0].kind, WalRecordKind::kDelta);
-    EXPECT_EQ(wal->records[1].kind, WalRecordKind::kBatch);
-    for (const char* obj : {"a", "b", "c"}) {
-      Vid vid = engine.versions().OfOid(engine.symbols().Symbol(obj));
-      EXPECT_NE((*db)->current().StateOf(vid), nullptr) << obj;
-    }
-  }
 }
 
 TEST_F(StorageFixture, TornTailInsideBatchedFrameDropsWholeGroup) {
@@ -940,48 +881,6 @@ TEST_F(StorageFixture, AutoCheckpointKeepsRecoveryReplayBounded) {
   }
   EXPECT_EQ((*manual_db)->wal_records_since_checkpoint(), 10u);
   EXPECT_EQ((*manual_db)->checkpoint_generation(), 0u);
-}
-
-TEST_F(StorageFixture, LegacySnapshotDirectoryUpgradesToStoreOnCheckpoint) {
-  // A directory checkpointed before the store subsystem existed holds
-  // snapshot.vsnp + wal.log. It must recover as-is, and the next
-  // Checkpoint() must supersede the legacy image with a store generation
-  // (removing the old file).
-  FaultInjectingEnv env;
-  std::string expected;
-  {
-    Engine engine;
-    ObjectBase base = Base("a.m -> 1. b.m -> 2.", engine);
-    ASSERT_TRUE(WriteSnapshot("/db/snapshot.vsnp", base, engine.symbols(),
-                              engine.versions(), &env)
-                    .ok());
-    expected = ObjectBaseToString(base, engine.symbols(), engine.versions());
-  }
-  DatabaseOptions options;
-  options.env = &env;
-  options.retry_backoff_us = 0;
-  {
-    Engine engine;
-    Result<std::unique_ptr<Database>> db =
-        Database::Open("/db", engine, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                                 engine.versions()),
-              expected);
-    EXPECT_EQ((*db)->checkpoint_generation(), 0u);  // pre-store dir
-    ASSERT_TRUE((*db)->Checkpoint().ok());
-    EXPECT_EQ((*db)->checkpoint_generation(), 1u);
-    EXPECT_FALSE(env.FileExists("/db/snapshot.vsnp"));
-    EXPECT_TRUE(env.FileExists("/db/store.img"));
-  }
-  Engine engine;
-  Result<std::unique_ptr<Database>> db =
-      Database::Open("/db", engine, options);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->checkpoint_generation(), 1u);
-  EXPECT_EQ(ObjectBaseToString((*db)->current(), engine.symbols(),
-                               engine.versions()),
-            expected);
 }
 
 TEST_F(StorageFixture, FailedProgramLeavesDatabaseUntouched) {
