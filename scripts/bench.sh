@@ -13,10 +13,11 @@
 # registry: fixpoint + commit workloads with metrics enabled vs the
 # registry-disabled ablation — the On/Off pairs bound the
 # instrumentation's overhead), bench_store (src/store backends:
-# put/get/scan, checkpoint cost, and checkpointed cold-open vs
-# full-WAL-replay restart), bench_analysis (the static rule-program
-# analyzer: full analysis runs at 256-4096 generated rules and the
-# prepare overhead it adds to a Statement, on vs off). JSON results land
+# put/get/scan, the checkpoint after a one-object commit at 256-65536
+# objects, and checkpointed cold-open vs full-WAL-replay restart),
+# bench_analysis (the static rule-program analyzer: full analysis runs
+# at 256-4096 generated rules and the prepare overhead it adds to a
+# Statement, on vs off). JSON results land
 # next to this repo's root so successive PRs can diff them; each file's
 # "context" records the host core count (nproc) and the compiler, since
 # numbers from different hosts or toolchains are not comparable.

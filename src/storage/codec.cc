@@ -1,5 +1,7 @@
 #include "storage/codec.h"
 
+#include <algorithm>
+
 #include "util/numeric.h"
 
 namespace verso {
@@ -175,14 +177,34 @@ std::string EncodeVersionKey(Vid vid, const SymbolTable& symbols,
 std::string EncodeVersionRecord(Vid vid, const VersionState& state,
                                 const SymbolTable& symbols,
                                 const VersionTable& versions) {
-  BufferWriter writer;
-  writer.Varint(state.fact_count());
+  // Facts in ascending order of their encoded images. Method and OID
+  // handles are engine-local, so handle order differs between processes;
+  // byte order makes the record a function of the version's symbolic
+  // state alone. An incremental checkpoint leaves untouched records as an
+  // earlier process wrote them, and they equal what this one would write.
+  BufferWriter facts;
+  std::vector<std::string_view> images;
+  std::vector<size_t> ends;
   for (const auto& [method, apps] : state.methods()) {
     for (const GroundApp& app : apps) {
-      EncodeFact(writer, vid, method, app, symbols, versions);
+      EncodeFact(facts, vid, method, app, symbols, versions);
+      ends.push_back(facts.buffer().size());
     }
   }
-  return writer.Take();
+  const std::string_view all = facts.buffer();
+  images.reserve(ends.size());
+  size_t begin = 0;
+  for (size_t end : ends) {
+    images.push_back(all.substr(begin, end - begin));
+    begin = end;
+  }
+  std::sort(images.begin(), images.end());
+  BufferWriter writer;
+  writer.Varint(images.size());
+  std::string record = writer.Take();
+  record.reserve(record.size() + all.size());
+  for (std::string_view image : images) record.append(image);
+  return record;
 }
 
 Status DecodeVersionRecordInto(std::string_view data, SymbolTable& symbols,

@@ -68,7 +68,7 @@ Result<DecodedFact> DecodeFact(BufferReader& reader, SymbolTable& symbols,
 
 /// Per-version images for the checkpoint store (src/store): the base is
 /// stored one version per key so recovery is a single range scan and a
-/// checkpoint can delete exactly the versions that disappeared.
+/// checkpoint rewrites or deletes exactly the versions that changed.
 ///
 /// The key is the symbolic version image EncodeFact leads with — varint
 /// functor-chain depth, update ops outermost-first, then the root OID —
@@ -77,7 +77,8 @@ Result<DecodedFact> DecodeFact(BufferReader& reader, SymbolTable& symbols,
 std::string EncodeVersionKey(Vid vid, const SymbolTable& symbols,
                              const VersionTable& versions);
 /// One version's whole state as a store value: varint fact count, then
-/// that version's facts as EncodeFact images.
+/// that version's facts as EncodeFact images in ascending byte order, so
+/// equal symbolic states encode to equal records in every engine.
 std::string EncodeVersionRecord(Vid vid, const VersionState& state,
                                 const SymbolTable& symbols,
                                 const VersionTable& versions);

@@ -1,7 +1,7 @@
 #include "storage/database.h"
 
 #include <algorithm>
-#include <set>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "storage/codec.h"
@@ -53,6 +53,9 @@ struct CommitMetrics {
 /// left behind, recovery_us the total microseconds spent replaying.
 /// Counters rather than histograms — opens are rare, and dashboards
 /// watch the totals alongside the checkpoint cadence.
+/// checkpoint_versions samples the version records (puts plus deletes)
+/// each checkpoint stages — O(changed), not O(base); its samples are
+/// record counts, so the histogram's "_us" keys read as records.
 struct StorageMetrics {
   Counter& checkpoints;
   Counter& auto_checkpoints;
@@ -60,6 +63,7 @@ struct StorageMetrics {
   Counter& recovery_us;
   Counter& recovery_store_keys;
   Histogram& checkpoint_us;
+  Histogram& checkpoint_versions;
 
   static StorageMetrics& Get() {
     static StorageMetrics* metrics =
@@ -75,7 +79,9 @@ struct StorageMetrics {
         recovery_us(registry.GetCounter("storage.recovery_us")),
         recovery_store_keys(
             registry.GetCounter("storage.recovery_store_keys")),
-        checkpoint_us(registry.GetHistogram("storage.checkpoint_us")) {}
+        checkpoint_us(registry.GetHistogram("storage.checkpoint_us")),
+        checkpoint_versions(
+            registry.GetHistogram("storage.checkpoint_versions")) {}
 };
 
 /// Store keys of base state: "b/" + EncodeVersionKey. The prefix leaves
@@ -188,7 +194,8 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     VERSO_ASSIGN_OR_RETURN(
         std::vector<FactDelta> deltas,
         DecodeDeltaBatch(record.payload, engine.symbols(), engine.versions()));
-    for (const FactDelta& delta : deltas) ApplyDelta(delta, db->current_);
+    // Replayed versions are dirty: the store may not hold them yet.
+    for (const FactDelta& delta : deltas) db->Install(delta);
     ++db->wal_records_;
   }
   db->wal_bytes_ = wal.valid_bytes;
@@ -346,7 +353,7 @@ Status Database::CommitDelta(const ObjectBase& next, DeltaLog* committed) {
   }
   {
     ScopedTimer install_timer(registry, metrics.install_us);
-    ApplyDelta(delta, current_);
+    Install(delta);
   }
   ++commit_epoch_;
   DeltaLog log = ToDeltaLog(delta);
@@ -439,9 +446,7 @@ Result<std::vector<RunOutcome>> Database::ExecuteBatch(
   }
   {
     ScopedTimer install_timer(registry, metrics.install_us);
-    for (const FactDelta& delta : deltas) {
-      ApplyDelta(delta, current_);
-    }
+    for (const FactDelta& delta : deltas) Install(delta);
   }
   // Deliver every delta even if an observer errors on one of them: all of
   // them are durable and installed, so later deltas must reach the
@@ -475,33 +480,50 @@ Result<std::vector<RunOutcome>> Database::ExecuteBatch(
   return outcomes;
 }
 
+void Database::Install(const FactDelta& delta) {
+  ApplyDelta(delta, current_);
+  if (ephemeral_) return;  // never checkpointed
+  dirty_bits_.resize(engine_.versions().size());
+  auto mark = [this](Vid vid) {
+    if (dirty_bits_[vid.value]) return;
+    dirty_bits_[vid.value] = true;
+    dirty_.push_back(vid);
+  };
+  for (const DecodedFact& fact : delta.removed) mark(fact.vid);
+  for (const DecodedFact& fact : delta.added) mark(fact.vid);
+}
+
 Status Database::Checkpoint() {
   if (ephemeral_) return Status::Ok();  // nothing to fold
   VERSO_RETURN_IF_ERROR(CheckWritable());
   StorageMetrics& metrics = StorageMetrics::Get();
   ScopedTimer timer(MetricsRegistry::Global(), metrics.checkpoint_us);
-  // Stage the whole base, one record per version, keyed so recovery
-  // rebuilds it with a single "b/" range scan; keys present in the store
-  // but absent from the staged set are versions deleted since the last
-  // checkpoint, removed in the same atomic commit as the bumped
-  // generation.
-  WriteTransaction txn = store_->BeginWrite();
-  std::set<std::string, std::less<>> live;
-  for (const auto& [vid, state] : current_.versions()) {
-    std::string key = std::string(kBasePrefix) +
-                      EncodeVersionKey(vid, engine_.symbols(),
-                                       engine_.versions());
-    txn.Put(key, EncodeVersionRecord(vid, *state, engine_.symbols(),
-                                     engine_.versions()));
-    live.insert(std::move(key));
+  // Stage only the versions changed since the last checkpoint, in
+  // ascending key order: a put of the whole record for a version that
+  // still exists, a delete for one that is gone. Every other "b/" key
+  // already holds its version's current record, so the store after this
+  // commit is exactly one record per live version — the image recovery
+  // rebuilds with a single range scan — at the bumped generation.
+  std::vector<std::pair<std::string, Vid>> staged;
+  staged.reserve(dirty_.size());
+  for (Vid vid : dirty_) {
+    staged.emplace_back(std::string(kBasePrefix) +
+                            EncodeVersionKey(vid, engine_.symbols(),
+                                             engine_.versions()),
+                        vid);
   }
-  ReadTransaction stale_scan = store_->BeginRead();
-  VERSO_RETURN_IF_ERROR(store_->Scan(
-      stale_scan, kBasePrefix,
-      [&](std::string_view key, std::string_view) {
-        if (live.find(key) == live.end()) txn.Delete(std::string(key));
-        return Status::Ok();
-      }));
+  std::sort(staged.begin(), staged.end());
+  WriteTransaction txn = store_->BeginWrite();
+  for (auto& [key, vid] : staged) {
+    const VersionState* state = current_.StateOf(vid);
+    if (state == nullptr) {
+      txn.Delete(std::move(key));
+    } else {
+      txn.Put(std::move(key), EncodeVersionRecord(vid, *state,
+                                                  engine_.symbols(),
+                                                  engine_.versions()));
+    }
+  }
   txn.PutMeta("generation", checkpoint_generation_ + 1);
   Status committed = txn.Commit();
   if (!committed.ok()) {
@@ -512,6 +534,11 @@ Status Database::Checkpoint() {
     TraceFault("checkpoint-store", committed, 0, false);
     return committed;
   }
+  // The dirty versions are folded: only now may the set forget them (a
+  // failed commit above keeps them for the next checkpoint).
+  metrics.checkpoint_versions.Record(staged.size());
+  for (Vid vid : dirty_) dirty_bits_[vid.value] = false;
+  dirty_.clear();
   ++checkpoint_generation_;
   // The store commit is durable; only now may the WAL shrink. A crash
   // (or failure) between the two steps leaves store + stale WAL, and

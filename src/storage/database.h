@@ -15,6 +15,8 @@
 
 namespace verso {
 
+struct FactDelta;
+
 /// Observer of committed transactions: the database invokes OnCommit once
 /// per transaction, after the delta is durable in the WAL and installed in
 /// the in-memory base. This is the delta stream incremental materialized
@@ -62,11 +64,12 @@ struct DatabaseOptions {
   /// Storage-fault events (OnStorageFault) go here (not owned). The
   /// per-call TraceSink of Execute/ExecuteBatch traces evaluation only.
   TraceSink* trace = nullptr;
-  /// Checkpoint/recovery store backend (src/store): kMem rewrites one
-  /// whole-base image per checkpoint, kPageLog appends O(delta) records
-  /// and compacts itself. Fixed at open; reopen a directory with the
-  /// backend that checkpointed it (recovery reads the backend's own
-  /// file, it does not migrate between formats).
+  /// Checkpoint/recovery store backend (src/store). A checkpoint stages
+  /// only the versions changed since the last one; kMem still rewrites
+  /// its whole image file on every store commit, kPageLog appends just
+  /// the staged records and compacts itself. Fixed at open; reopen a
+  /// directory with the backend that checkpointed it (recovery reads the
+  /// backend's own file, it does not migrate between formats).
   StoreBackend store_backend = StoreBackend::kMem;
   /// When > 0, a successful commit that leaves the WAL at or past this
   /// many bytes triggers an automatic Checkpoint(), bounding recovery
@@ -186,9 +189,12 @@ class Database {
       TraceSink* trace = nullptr);
 
   /// Folds the committed base into the checkpoint store — one atomic
-  /// store transaction carrying every live version record, the deletes
-  /// of versions gone since the last checkpoint, and the bumped
-  /// generation — then truncates the WAL behind it. Crash-safe: both
+  /// store transaction carrying the record of every version changed
+  /// since the last successful checkpoint (a put if the version still
+  /// exists, a delete if it is gone) and the bumped generation — then
+  /// truncates the WAL behind it. O(versions changed), not O(base): the
+  /// database tracks the versions each installed delta touches, and a
+  /// failed checkpoint keeps them for the next one. Crash-safe: both
   /// backends commit atomically, and the WAL is removed only after; a
   /// crash between the two steps leaves store + stale WAL, which
   /// recovery replays idempotently (fact-level deltas have set
@@ -256,6 +262,10 @@ class Database {
                   bool degraded);
 
   Status CommitDelta(const ObjectBase& next, DeltaLog* committed = nullptr);
+  /// ApplyDelta into current_, noting every touched version as dirty
+  /// (changed since the last checkpoint) unless the database is
+  /// ephemeral.
+  void Install(const FactDelta& delta);
   Status NotifyObservers(const DeltaLog& delta, uint64_t epoch);
   /// Runs Checkpoint() when the auto-checkpoint threshold is armed and
   /// the WAL has grown past it. Called after a commit is durable and
@@ -271,6 +281,11 @@ class Database {
   WalWriter wal_;
   std::unique_ptr<Store> store_;
   std::vector<CommitObserver*> observers_;
+  /// Versions changed since the last successful checkpoint: a bitmap over
+  /// Vid.value for O(1) membership plus the list Checkpoint() walks, both
+  /// bounded by the engine's version count.
+  std::vector<bool> dirty_bits_;
+  std::vector<Vid> dirty_;
   size_t wal_records_ = 0;
   size_t wal_bytes_ = 0;
   uint64_t checkpoint_generation_ = 0;

@@ -26,6 +26,13 @@ Result<std::unique_ptr<PageLogStore>> PageLogStore::Open(
         env->TruncateFile(store->path_, log.valid_bytes));
   }
   store->bytes_ = log.valid_bytes;
+  for (const auto& [key, value] : store->data_) {
+    store->live_bytes_ += DataEntryBytes(key, value);
+  }
+  for (const auto& [name, value] : store->meta_) {
+    (void)value;
+    store->live_bytes_ += MetaEntryBytes(name);
+  }
   VERSO_RETURN_IF_ERROR(store_internal::CheckFormat(store->meta_, "pagelog"));
   return store;
 }
@@ -87,39 +94,42 @@ Status PageLogStore::ApplyCommit(const WriteTransaction& txn) {
     return appended;
   }
   bytes_ += payload.size() + 12;  // 12-byte frame header + payload
-  for (const WriteTransaction::Op& op : txn.ops()) {
-    switch (op.kind) {
-      case WriteTransaction::Op::Kind::kPut:
-        data_[op.key] = op.value;
-        break;
-      case WriteTransaction::Op::Kind::kDelete:
-        data_.erase(op.key);
-        break;
-      case WriteTransaction::Op::Kind::kPutMeta:
-        meta_[op.key] = op.meta;
-        break;
-    }
-  }
+  for (const WriteTransaction::Op& op : txn.ops()) ApplyOp(op);
   MaybeCompact();
   return Status::Ok();
 }
 
-size_t PageLogStore::live_payload_bytes() const {
-  size_t bytes = 0;
-  for (const auto& [key, value] : data_) {
-    bytes += key.size() + value.size() + 4;  // + op framing overhead
+void PageLogStore::ApplyOp(const WriteTransaction::Op& op) {
+  switch (op.kind) {
+    case WriteTransaction::Op::Kind::kPut: {
+      auto [it, inserted] = data_.try_emplace(op.key);
+      if (!inserted) live_bytes_ -= DataEntryBytes(it->first, it->second);
+      it->second = op.value;
+      live_bytes_ += DataEntryBytes(it->first, it->second);
+      break;
+    }
+    case WriteTransaction::Op::Kind::kDelete: {
+      auto it = data_.find(op.key);
+      if (it == data_.end()) break;  // absent-key delete: no-op
+      live_bytes_ -= DataEntryBytes(it->first, it->second);
+      data_.erase(it);
+      break;
+    }
+    case WriteTransaction::Op::Kind::kPutMeta: {
+      auto [it, inserted] = meta_.try_emplace(op.key, op.meta);
+      if (inserted) {
+        live_bytes_ += MetaEntryBytes(it->first);
+      } else {
+        it->second = op.meta;
+      }
+      break;
+    }
   }
-  for (const auto& [name, value] : meta_) {
-    (void)value;
-    bytes += name.size() + 12;
-  }
-  return bytes;
 }
 
 void PageLogStore::MaybeCompact() {
   if (bytes_ < kCompactMinBytes) return;
-  size_t live = live_payload_bytes();
-  if (bytes_ <= kCompactDeadFactor * live) return;
+  if (bytes_ <= kCompactDeadFactor * live_bytes_) return;
   // Rewrite the live image as one frame and install it over the log by
   // atomic rename: a crash at any point leaves either the old log or the
   // compacted one, both replaying to the identical index. Best-effort —

@@ -19,9 +19,10 @@ namespace verso {
 /// the in-memory key index is rebuilt on open by replaying the log in
 /// order. A torn final frame (crashed writer) is chopped on open — the
 /// standard crashed-writer contract the WAL itself uses. Commits are
-/// O(delta); once dead bytes dominate (overwrites and deletes), the log
-/// compacts itself by atomically replacing the file with one frame
-/// holding the live image.
+/// O(delta), the compaction check included: the live payload size is a
+/// running total kept per op, not a walk of the key index. Once dead
+/// bytes dominate (overwrites and deletes), the log compacts itself by
+/// atomically replacing the file with one frame holding the live image.
 class PageLogStore : public Store {
  public:
   static Result<std::unique_ptr<PageLogStore>> Open(const std::string& dir,
@@ -56,11 +57,19 @@ class PageLogStore : public Store {
   PageLogStore(std::string path, Env* env)
       : path_(std::move(path)), writer_(path_, env), env_(env) {}
 
-  /// An approximation of one frame's worth of the live image, to decide
-  /// when compaction pays. Exact accounting isn't needed — the factor is
-  /// a heuristic — but it must never overestimate so badly that
-  /// compaction loops.
-  size_t live_payload_bytes() const;
+  /// Per-entry share of live_bytes_: an approximation of the entry's
+  /// bytes in one frame of the live image, to decide when compaction
+  /// pays. Exact accounting isn't needed — the factor is a heuristic —
+  /// but it must never overestimate so badly that compaction loops.
+  static size_t DataEntryBytes(const std::string& key,
+                               const std::string& value) {
+    return key.size() + value.size() + 4;  // + op framing overhead
+  }
+  static size_t MetaEntryBytes(const std::string& name) {
+    return name.size() + 12;
+  }
+  /// Applies one op to the key index, keeping live_bytes_ in step.
+  void ApplyOp(const WriteTransaction::Op& op);
   void MaybeCompact();
 
   std::string path_;
@@ -69,6 +78,11 @@ class PageLogStore : public Store {
   store_internal::DataMap data_;
   store_internal::MetaMap meta_;
   size_t bytes_ = 0;
+  /// Sum of DataEntryBytes/MetaEntryBytes over the live entries: computed
+  /// once after replay in Open, then updated per op in ApplyCommit.
+  /// Compaction rewrites the file, not the entries, so it leaves this
+  /// total as it is.
+  size_t live_bytes_ = 0;
   bool recovered_torn_ = false;
   /// False after a failed append whose rollback also failed: the tail may
   /// hold a partial frame that a further append would bury, so the store

@@ -107,6 +107,8 @@ TEST(MetricsApiTest, QueryMetricsEqualsDumpMetricsAfterScriptedWorkload) {
   EXPECT_GE(MetricValue(entries, "query.view_reads"), 1);
   EXPECT_GT(MetricValue(entries, "subscription.deliveries"), 0);
   EXPECT_EQ(MetricValue(entries, "storage.faults"), 0);
+  // Preregistered at zero: an ephemeral database never checkpoints.
+  EXPECT_EQ(MetricValue(entries, "storage.checkpoint_versions.count"), 0);
 }
 
 TEST(MetricsApiTest, QueryMetricsKeywordIsCaseInsensitive) {
@@ -177,7 +179,8 @@ TEST(MetricsApiTest, RecoveryAndCheckpointCountersAreReported) {
   // The storage.* recovery surface: after a checkpoint plus a two-commit
   // WAL suffix, a cold reopen reports exactly the suffix as replayed
   // frames, the base as recovered store keys, and the checkpoint itself
-  // on the store/checkpoint counters.
+  // on the store/checkpoint counters. A checkpoint after the reopen
+  // stages only the two versions the replayed suffix changed.
   FaultInjectingEnv env;
   ConnectionOptions options;
   options.env = &env;
@@ -221,6 +224,18 @@ TEST(MetricsApiTest, RecoveryAndCheckpointCountersAreReported) {
   EXPECT_GE(MetricValue(entries, "store.commits"), 1);
   EXPECT_GT(MetricValue(entries, "store.puts"), 0);
   EXPECT_GT(MetricValue(entries, "storage.checkpoint_us.count"), 0);
+  // storage.checkpoint_versions samples records staged per checkpoint:
+  // the first folded ann/bob/cal.
+  EXPECT_EQ(MetricValue(entries, "storage.checkpoint_versions.count"), 1);
+  EXPECT_EQ(MetricValue(entries, "storage.checkpoint_versions.sum_us"), 3);
+
+  ASSERT_TRUE((*conn)->Checkpoint().ok());
+  Result<ResultSet> after = session->Execute("QUERY METRICS");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(MetricValue(after->metrics(), "storage.checkpoint_versions.count"),
+            2);
+  EXPECT_EQ(MetricValue(after->metrics(), "storage.checkpoint_versions.sum_us"),
+            5);  // + dee and eve, replayed from the WAL suffix
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 // subscription replay — must equal EXACTLY the state after some prefix of
 // the committed transactions (atomicity), with that prefix covering every
 // acknowledged commit (durability). Mid-Checkpoint crashes are part of
-// the sweep: the workload checkpoints halfway through.
+// the sweep: the workload checkpoints at one third and at two thirds of
+// the way through. The first checkpoint folds every version; the second
+// stages only the versions changed since — a true incremental checkpoint
+// whose I/O points are crashed like any other.
 //
 // Scaling knobs (environment variables, for CI sampling vs exhaustive
 // local runs — see .github/workflows/ci.yml):
@@ -16,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -144,9 +148,11 @@ struct Reference {
 /// Runs the workload start to finish on `env`. Returns the number of
 /// acknowledged (successfully committed) transactions; stops at the first
 /// failure (after a crash fault everything fails). When `ref` is given,
-/// records expected states; `checkpoint_at` < 0 disables the checkpoint.
+/// records expected states. A checkpoint runs before each transaction
+/// whose index is listed in `checkpoints_at` (empty: none).
 size_t RunWorkload(FaultInjectingEnv& env, const std::vector<std::string>& txns,
-                   int checkpoint_at, StoreBackend backend, Reference* ref) {
+                   const std::vector<size_t>& checkpoints_at,
+                   StoreBackend backend, Reference* ref) {
   Result<std::unique_ptr<Connection>> conn =
       Connection::Open(kDir, TortureOptions(&env, backend));
   if (!conn.ok()) return 0;
@@ -181,10 +187,11 @@ size_t RunWorkload(FaultInjectingEnv& env, const std::vector<std::string>& txns,
 
   size_t acked = 0;
   for (size_t i = 0; i < txns.size(); ++i) {
-    if (checkpoint_at >= 0 && i == static_cast<size_t>(checkpoint_at)) {
-      // Mid-workload checkpoint: its snapshot-write / rename / WAL-remove
-      // ops are crash points like any other. A failure here does not
-      // abort the workload (a failed checkpoint loses nothing).
+    if (std::find(checkpoints_at.begin(), checkpoints_at.end(), i) !=
+        checkpoints_at.end()) {
+      // Mid-workload checkpoint: its store-commit / WAL-remove ops are
+      // crash points like any other. A failure here does not abort the
+      // workload (a failed checkpoint loses nothing).
       (*conn)->Checkpoint().ok();
     }
     Status status = session->Execute(txns[i]).status();
@@ -265,7 +272,8 @@ TEST(CrashTortureTest, CrashAtEveryMutatingOpRecoversToACommittedPrefix) {
   const uint64_t seed = EnvKnob("VERSO_TORTURE_SEED", 12345);
   const uint64_t stride = EnvKnob("VERSO_TORTURE_OP_STRIDE", 1);
   const std::vector<std::string> txns = MakeWorkload(seed);
-  const int checkpoint_at = static_cast<int>(txns.size()) / 2;
+  const std::vector<size_t> checkpoints_at = {txns.size() / 3,
+                                              2 * txns.size() / 3};
 
   for (StoreBackend backend : TortureBackends()) {
     SCOPED_TRACE(std::string("backend ") + StoreBackendName(backend));
@@ -277,7 +285,7 @@ TEST(CrashTortureTest, CrashAtEveryMutatingOpRecoversToACommittedPrefix) {
     // mid-checkpoint WAL-truncation windows behind a live store log.
     FaultInjectingEnv clean;
     Reference ref;
-    size_t all = RunWorkload(clean, txns, checkpoint_at, backend, &ref);
+    size_t all = RunWorkload(clean, txns, checkpoints_at, backend, &ref);
     ASSERT_EQ(all, txns.size());
     ASSERT_EQ(ref.states.size(), txns.size() + 1);
     ASSERT_GT(ref.total_ops, 0u);
@@ -296,7 +304,8 @@ TEST(CrashTortureTest, CrashAtEveryMutatingOpRecoversToACommittedPrefix) {
         plan.kind = FaultKind::kCrash;
         plan.partial_bytes = partial;
         env.SetPlan(plan);
-        size_t acked = RunWorkload(env, txns, checkpoint_at, backend, nullptr);
+        size_t acked =
+            RunWorkload(env, txns, checkpoints_at, backend, nullptr);
         ASSERT_TRUE(env.crashed());
         auto disk = env.CloneSurvivingFiles();
         std::optional<size_t> k = RecoverAndMatch(disk.get(), ref, backend,
@@ -321,7 +330,7 @@ TEST(CrashTortureTest, EveryWalBytePrefixRecoversToACommittedPrefix) {
     // exactly L bytes durable.
     FaultInjectingEnv clean;
     Reference ref;
-    ASSERT_EQ(RunWorkload(clean, txns, /*checkpoint_at=*/-1, backend, &ref),
+    ASSERT_EQ(RunWorkload(clean, txns, /*checkpoints_at=*/{}, backend, &ref),
               txns.size());
     ASSERT_FALSE(ref.wal_bytes.empty());
 
